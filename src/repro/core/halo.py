@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, memo_by_version
 from repro.sparse.partition import RowPartition
 
 __all__ = ["RankHalo", "HaloPlan", "build_halo_plan", "cached_halo_plan"]
@@ -137,23 +137,12 @@ def _rank_split(
     if not with_matrices:
         return nnz_local, nnz_remote, None, None
 
-    sub_ptr = A.row_ptr[lo : hi + 1] - p0
-    vals = A.val[p0:p1]
-    nrows = hi - lo
-
-    def filtered(mask: np.ndarray, new_cols: np.ndarray, ncols: int) -> CSRMatrix:
-        rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(sub_ptr))[mask]
-        ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(ptr, rows + 1, 1)
-        np.cumsum(ptr, out=ptr)
-        return CSRMatrix(ptr, new_cols, vals[mask].copy(), ncols=ncols, check=False)
-
-    A_local = filtered(local_mask, (cols[local_mask] - lo).copy(), nrows)
-    remote_cols = cols[~local_mask]
+    block = A.extract_rows(lo, hi)
+    A_local = block.filter_entries(local_mask, cols[local_mask] - lo, hi - lo)
     # halo_cols is globally sorted (sources own disjoint ascending ranges),
     # so the buffer position of each remote column is its sorted rank
-    buffer_pos = np.searchsorted(halo_cols, remote_cols)
-    A_remote = filtered(~local_mask, buffer_pos.astype(np.int64), max(1, halo_cols.size))
+    buffer_pos = np.searchsorted(halo_cols, cols[~local_mask])
+    A_remote = block.filter_entries(~local_mask, buffer_pos, max(1, halo_cols.size))
     return nnz_local, nnz_remote, A_local, A_remote
 
 
@@ -231,10 +220,9 @@ def build_halo_plan(
 # ----------------------------------------------------------------------
 # plan cache: solvers and benchmarks re-multiply the same matrix on the
 # same partition thousands of times; the bookkeeping "needs to be done
-# only once" (Sect. 3.1), so key it on the matrix *identity* — guarded
-# by a structure fingerprint so in-place mutation rebuilds the plan
+# only once" (Sect. 3.1), so key it on the matrix identity and version
 # ----------------------------------------------------------------------
-_PLAN_CACHE: dict[tuple[int, int, str, bool], tuple[weakref.ref, tuple, HaloPlan]] = {}
+_PLAN_CACHE: dict[tuple[int, int, str, bool], tuple[weakref.ref, int, HaloPlan]] = {}
 _PLAN_CACHE_MAX = 32
 
 
@@ -243,32 +231,18 @@ def cached_halo_plan(
 ) -> HaloPlan:
     """Partition *A* and build (or reuse) its halo plan.
 
-    Plans are cached keyed on ``(id(A), nparts, strategy)``, with two
-    guards on each hit: a weak reference against id reuse after the
-    matrix is garbage collected, and the matrix's
-    :meth:`~repro.sparse.csr.CSRMatrix.structure_fingerprint` against
-    in-place mutation.  A long-lived service may legitimately rebuild a
-    matrix's structure between requests; returning the old plan then
-    silently computes with the wrong sparsity pattern (wrong halos,
-    wrong sub-matrices), so a fingerprint mismatch rebuilds the plan
-    instead.  The cache is bounded; oldest entries fall out first.
+    Plans are cached on ``(id(A), nparts, strategy, with_matrices)`` by
+    :func:`~repro.sparse.csr.memo_by_version`: the matrix arrays are
+    read-only and every reassignment bumps its version, so a plan is
+    valid by construction.  A matrix whose structure was replaced
+    between requests gets a rebuilt plan, and a hit costs O(1), not a
+    pass over the matrix.
     """
     from repro.sparse.partition import partition_matrix
 
+    def build() -> HaloPlan:
+        partition = partition_matrix(A, nparts, strategy=strategy)
+        return build_halo_plan(A, partition, with_matrices=with_matrices)
+
     key = (id(A), int(nparts), strategy, with_matrices)
-    fingerprint = A.structure_fingerprint()
-    hit = _PLAN_CACHE.get(key)
-    if hit is not None and hit[0]() is A and hit[1] == fingerprint:
-        return hit[2]
-    partition = partition_matrix(A, nparts, strategy=strategy)
-    plan = build_halo_plan(A, partition, with_matrices=with_matrices)
-    dead = [k for k, (ref, _fp, _p) in _PLAN_CACHE.items() if ref() is None]
-    for k in dead:
-        del _PLAN_CACHE[k]
-    # only evict when actually inserting a new key — refreshing an entry
-    # already present at capacity must not push out a live neighbour
-    if key not in _PLAN_CACHE:
-        while len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
-    _PLAN_CACHE[key] = (weakref.ref(A), fingerprint, plan)
-    return plan
+    return memo_by_version(_PLAN_CACHE, _PLAN_CACHE_MAX, key, A, build)

@@ -133,11 +133,10 @@ def _diag_csr(diag) -> CSRMatrix:
     import numpy as np
 
     d = np.asarray(diag, dtype=float)
-    ident = CSRMatrix.identity(d.size)
-    ident.val[:] = d
-    # identity() stores an explicit entry per row, so zero diagonal values
-    # remain as explicit zeros; drop them for a canonical matrix.
-    return ident.to_coo().drop_zeros().to_csr()
+    # zero diagonal values are not stored, for a canonical matrix
+    keep = np.abs(d) > 0.0
+    row_ptr = np.concatenate(([0], np.cumsum(keep)))
+    return CSRMatrix(row_ptr, np.arange(d.size)[keep], d[keep], ncols=d.size)
 
 
 def build_holstein_hubbard(

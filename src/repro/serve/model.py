@@ -13,9 +13,10 @@ and hand it to a :class:`~repro.serve.service.SolverService` to serve
 requests against.
 
 :func:`cached_model` memoises built models per process, keyed on matrix
-identity *plus* its structure fingerprint — the same staleness guard as
-:func:`repro.core.halo.cached_halo_plan`, so a matrix mutated in place
-between requests gets a rebuilt model, never a stale one.
+identity *plus* its :attr:`~repro.sparse.csr.CSRMatrix.version`, like
+:func:`repro.core.halo.cached_halo_plan`: a matrix whose arrays were
+reassigned gets a rebuilt model, and a hit does no O(nnz) work.  The
+structure fingerprint (CRC32) only guards saved files, in :meth:`BuiltModel.load`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import time
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,7 +35,7 @@ from repro.comm.plan import PLAN_KINDS, CommPlan
 from repro.core.halo import HaloPlan, RankHalo, build_halo_plan, cached_halo_plan
 from repro.program.build import cached_sweep_program
 from repro.program.ir import SweepProgram
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, memo_by_version
 from repro.sparse.partition import RowPartition, partition_matrix
 from repro.sparse.registry import (
     DEFAULT_KERNEL,
@@ -59,8 +61,8 @@ class BuiltModel:
     """Everything a solver service needs, built exactly once.
 
     ``fingerprint`` is the matrix's structure fingerprint at build time;
-    serving and (de)serialization verify it so a model can never be
-    applied to a matrix whose sparsity silently changed underneath it.
+    :meth:`save` stores it and :meth:`load` verifies it, so a corrupt or
+    edited file fails at load, not in a kernel.
     ``build_seconds`` records what the build cost — the amortised
     quantity every warm request saves.
     """
@@ -352,9 +354,9 @@ def load_model(path: str | Path) -> BuiltModel:
 
 # ----------------------------------------------------------------------
 # model cache: one BuiltModel per (matrix, serving configuration),
-# fingerprint-guarded exactly like repro.core.halo's plan cache
+# version-keyed exactly like repro.core.halo's plan cache
 # ----------------------------------------------------------------------
-_MODEL_CACHE: dict[tuple, tuple[weakref.ref, tuple, BuiltModel]] = {}
+_MODEL_CACHE: dict[tuple, tuple[weakref.ref, int, BuiltModel]] = {}
 _MODEL_CACHE_MAX = 8
 
 
@@ -370,30 +372,15 @@ def cached_model(
 ) -> BuiltModel:
     """Build (or reuse) the model for this serving configuration.
 
-    Keyed on matrix identity + kernel + scheme + lowering; each hit
-    re-verifies the matrix's structure fingerprint, so mutating the
-    matrix in place rebuilds the model instead of serving a stale one.
+    Keyed on matrix identity + kernel + scheme + lowering; a hit needs
+    the matrix's current :attr:`~repro.sparse.csr.CSRMatrix.version`, so
+    reassigning its arrays rebuilds the model instead of serving a stale
+    one (element-wise writes cannot happen: the arrays are read-only).
     """
     kspec = get_kernel(kernel)
     key = (id(A), int(nranks), scheme, kspec.key, comm_plan, int(ranks_per_node), strategy)
-    fingerprint = A.structure_fingerprint()
-    hit = _MODEL_CACHE.get(key)
-    if hit is not None and hit[0]() is A and hit[1] == fingerprint:
-        return hit[2]
-    model = build_model(
-        A,
-        nranks,
-        scheme=scheme,
-        kernel=kspec,
-        comm_plan=comm_plan,
-        ranks_per_node=ranks_per_node,
-        strategy=strategy,
+    build = partial(
+        build_model, A, nranks, scheme=scheme, kernel=kspec, comm_plan=comm_plan,
+        ranks_per_node=ranks_per_node, strategy=strategy,
     )
-    dead = [k for k, (ref, _fp, _m) in _MODEL_CACHE.items() if ref() is None]
-    for k in dead:
-        del _MODEL_CACHE[k]
-    if key not in _MODEL_CACHE:
-        while len(_MODEL_CACHE) >= _MODEL_CACHE_MAX:
-            del _MODEL_CACHE[next(iter(_MODEL_CACHE))]
-    _MODEL_CACHE[key] = (weakref.ref(A), fingerprint, model)
-    return model
+    return memo_by_version(_MODEL_CACHE, _MODEL_CACHE_MAX, key, A, build)

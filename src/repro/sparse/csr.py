@@ -6,6 +6,11 @@ contiguous array ``val`` ordered row by row, row start offsets in
 its three arrays outright; nothing here wraps :mod:`scipy.sparse`
 (scipy is used only in the *tests* as an independent reference).
 
+The arrays are read-only (a view over memory still writeable elsewhere
+is copied once), and reassigning an array or ``ncols`` bumps
+:attr:`CSRMatrix.version`, which the derived caches (halo plans, kernel
+operators, built models) key on: valid by construction, O(1) per hit.
+
 Traffic accounting
 ------------------
 Besides the numerics, the class knows how much *memory traffic* one
@@ -23,7 +28,9 @@ See :mod:`repro.model.code_balance`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+import itertools
+import weakref
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +39,11 @@ from repro.util import check_array_1d, check_sorted_nondecreasing, require
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparse.coo import COOMatrix
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "memo_by_version"]
+
+_ARRAYS = ("row_ptr", "col_idx", "val")
+#: global stamps: ``next()`` is atomic, so concurrent reassignments never share one
+_VERSIONS = itertools.count(1)
 
 #: Bytes per matrix value (double precision), per the paper.
 VAL_BYTES = 8
@@ -42,6 +53,41 @@ IDX_BYTES = 4
 RESULT_BYTES = 16
 #: Bytes per RHS element load.
 RHS_BYTES = 8
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """*arr* frozen in place, or a frozen copy if it is a view over memory
+    that another object can still write."""
+    base = arr.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def memo_by_version(cache: dict, maxsize: int, key: tuple, A: "CSRMatrix", build: Callable):
+    """``build()`` memoised as ``cache[key] = (weakref(A), A.version, value)``.
+
+    A hit needs the weakref to resolve to *A* (no false hit on id reuse)
+    and *A*'s current version: O(1) and never stale.  Beyond *maxsize*
+    entries the oldest fall out first.
+    """
+    version = A.version
+    hit = cache.get(key)
+    if hit is not None and hit[0]() is A and hit[1] == version:
+        return hit[2]
+    value = build()
+    for k in [k for k, (ref, _v, _x) in cache.items() if ref() is None]:
+        del cache[k]
+    # only evict when actually inserting a new key — refreshing an entry
+    # already present at capacity must not push out a live neighbour
+    if key not in cache:
+        while len(cache) >= maxsize:
+            del cache[next(iter(cache))]
+    cache[key] = (weakref.ref(A), version, value)
+    return value
 
 
 class CSRMatrix:
@@ -59,9 +105,11 @@ class CSRMatrix:
         ``float64`` array of length ``nnz``.
     ncols:
         Number of columns.  Defaults to ``nrows`` (square matrix).
+
+    The arrays are read-only: to change a matrix, assign new arrays.
     """
 
-    __slots__ = ("row_ptr", "col_idx", "val", "ncols", "__weakref__")
+    __slots__ = ("_version", "_take_index", "row_ptr", "col_idx", "val", "ncols", "__weakref__")
 
     def __init__(
         self,
@@ -80,6 +128,28 @@ class CSRMatrix:
         self.ncols = int(self.nrows if ncols is None else ncols)
         if check:
             self._validate()
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _ARRAYS:
+            value = _read_only(np.asarray(value))
+        object.__setattr__(self, name, value)
+        if not name.startswith("_"):
+            object.__setattr__(self, "_version", next(_VERSIONS))
+
+    @property
+    def version(self) -> int:
+        """Stamp that increases with every reassignment of an array or ``ncols``."""
+        return self._version
+
+    def take_index(self) -> np.ndarray:
+        """A private writeable copy of ``col_idx`` (never write it), made once
+        per :attr:`version`: ``ndarray.take`` copies a read-only index array
+        on every call, and the block kernels take once per column."""
+        memo = getattr(self, "_take_index", None)
+        if memo is None or memo[0] != self._version:
+            memo = (self._version, self.col_idx.copy())
+            object.__setattr__(self, "_take_index", memo)
+        return memo[1]
 
     def _validate(self) -> None:
         require(self.row_ptr[0] == 0, "row_ptr[0] must be 0")
@@ -146,13 +216,12 @@ class CSRMatrix:
         return VAL_BYTES * self.nnz + IDX_BYTES * self.nnz + 8 * self.row_ptr.size
 
     def structure_fingerprint(self) -> tuple[int, int, int, int, int]:
-        """Cheap fingerprint of the sparsity *structure* (not the values).
+        """Checksum of the sparsity *structure* (not the values).
 
-        ``(nrows, ncols, nnz, crc32(row_ptr), crc32(col_idx))`` — what
-        every structure-derived cache (halo plans, built models) keys on
-        to detect in-place mutation of a matrix between requests.  The
-        two checksums stream the index arrays once (~GB/s), orders of
-        magnitude cheaper than rebuilding a plan.
+        ``(nrows, ncols, nnz, crc32(row_ptr), crc32(col_idx))``.  It
+        streams both index arrays, so it is a file-integrity check for
+        saved models, never a per-lookup cache guard: caches key on
+        (identity, :attr:`version`) instead.
         """
         import zlib
 
@@ -162,20 +231,6 @@ class CSRMatrix:
             self.nnz,
             zlib.crc32(np.ascontiguousarray(self.row_ptr).data),
             zlib.crc32(np.ascontiguousarray(self.col_idx).data),
-        )
-
-    def content_fingerprint(self) -> tuple[int, ...]:
-        """:meth:`structure_fingerprint` plus a checksum of ``val``.
-
-        Caches holding *converted copies* of the matrix (format-converted
-        kernel operators, serialized models) must also notice in-place
-        value updates, which leave the structure fingerprint unchanged.
-        """
-        import zlib
-
-        return (
-            *self.structure_fingerprint(),
-            zlib.crc32(np.ascontiguousarray(self.val).data),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -303,9 +358,9 @@ class CSRMatrix:
 
     def scale(self, alpha: float) -> "CSRMatrix":
         """Return ``alpha * A``."""
-        out = self.copy()
-        out.val *= float(alpha)
-        return out
+        return CSRMatrix(
+            self.row_ptr, self.col_idx, self.val * float(alpha), ncols=self.ncols, check=False
+        )
 
     def add(self, other: "CSRMatrix") -> "CSRMatrix":
         """Return ``A + B`` for matrices with identical shape."""
@@ -334,8 +389,8 @@ class CSRMatrix:
         hi = int(self.row_ptr[row_hi])
         return CSRMatrix(
             self.row_ptr[row_lo : row_hi + 1] - lo,
-            self.col_idx[lo:hi].copy(),
-            self.val[lo:hi].copy(),
+            self.col_idx[lo:hi],
+            self.val[lo:hi],
             ncols=self.ncols,
             check=False,
         )
@@ -355,7 +410,7 @@ class CSRMatrix:
         row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptr[1:])
         if self.nnz == 0:
-            return CSRMatrix(row_ptr, self.col_idx.copy(), self.val.copy(), ncols=self.ncols, check=False)
+            return CSRMatrix(row_ptr, self.col_idx, self.val, ncols=self.ncols, check=False)
         # Gather all source entries in one vectorised pass: entry t of the
         # output comes from position (start of its source row) + (offset of
         # t within its destination row).
@@ -380,17 +435,20 @@ class CSRMatrix:
         if is_local.size != self.ncols:
             raise ValueError("mask length must equal ncols")
         keep = is_local[self.col_idx]
-        return self._filter_entries(keep), self._filter_entries(~keep)
+        return self.filter_entries(keep), self.filter_entries(~keep)
 
-    def _filter_entries(self, keep: np.ndarray) -> "CSRMatrix":
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())
-        rows = rows[keep]
+    def filter_entries(
+        self, keep: np.ndarray, col_idx: np.ndarray | None = None, ncols: int | None = None
+    ) -> "CSRMatrix":
+        """The entries where the boolean *keep* (length nnz) holds, optionally
+        relabelled to *col_idx* (one per kept entry) in *ncols* columns."""
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_nnz())[keep]
         row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.add.at(row_ptr, rows + 1, 1)
         np.cumsum(row_ptr, out=row_ptr)
-        return CSRMatrix(
-            row_ptr, self.col_idx[keep].copy(), self.val[keep].copy(), ncols=self.ncols, check=False
-        )
+        cols = self.col_idx[keep] if col_idx is None else col_idx
+        ncols = self.ncols if ncols is None else ncols
+        return CSRMatrix(row_ptr, cols, self.val[keep], ncols=ncols, check=False)
 
     def relabel_columns(self, mapping: np.ndarray, new_ncols: int) -> "CSRMatrix":
         """Return a copy with each column index ``j`` replaced by ``mapping[j]``.
@@ -404,9 +462,7 @@ class CSRMatrix:
         new_cols = mapping[self.col_idx]
         if new_cols.size and (new_cols.min() < 0 or new_cols.max() >= new_ncols):
             raise ValueError("mapping produces out-of-range column indices")
-        out = CSRMatrix(
-            self.row_ptr.copy(), new_cols, self.val.copy(), ncols=new_ncols, check=False
-        )
+        out = CSRMatrix(self.row_ptr, new_cols, self.val, ncols=new_ncols, check=False)
         out.sort_row_columns()
         return out
 

@@ -91,12 +91,12 @@ class KernelSpec:
 
 _REGISTRY: dict[str, KernelSpec] = {}
 _DEFAULT_VARIANT: dict[str, str] = {}
-#: Per-kernel memo of built operators as ``{matrix: (fingerprint, op)}``,
-#: weak so matrices can be collected.  The fingerprint covers structure
-#: *and* values: converted operators (e.g. SELL) copy both, so an
-#: in-place update of either must invalidate the cached conversion.
+#: Per-kernel memo of built operators as ``{matrix: (version, op)}``,
+#: weak so matrices can be collected.  Converted operators (e.g. SELL)
+#: copy structure *and* values, so any reassignment of the matrix's
+#: arrays (which bumps its version) must invalidate the conversion.
 _OPERATOR_CACHE: dict[
-    str, "weakref.WeakKeyDictionary[CSRMatrix, tuple[tuple, object]]"
+    str, "weakref.WeakKeyDictionary[CSRMatrix, tuple[int, object]]"
 ] = {}
 
 
@@ -173,19 +173,19 @@ def build_operator(spec: str | KernelSpec, A: CSRMatrix) -> object:
     The same (kernel, matrix) pair returns the same operator object, so
     format conversion is paid once per matrix no matter how many engines
     or benchmarks share it.  Entries are weak (collecting the CSR matrix
-    collects the converted operator) and guarded by the matrix's
-    :meth:`~repro.sparse.csr.CSRMatrix.content_fingerprint`: mutating
-    the matrix in place — structure *or* values — rebuilds the operator
-    instead of serving a stale converted copy.
+    collects the converted operator) and tagged with the matrix's
+    :attr:`~repro.sparse.csr.CSRMatrix.version`.  The matrix arrays are
+    read-only, so only a reassignment can change them, and it bumps the
+    version: a changed matrix rebuilds its operator, and a hit is O(1).
     """
     spec = get_kernel(spec)
     cache = _OPERATOR_CACHE.setdefault(spec.key, weakref.WeakKeyDictionary())
-    fingerprint = A.content_fingerprint()
+    version = A.version
     hit = cache.get(A)
-    if hit is not None and hit[0] == fingerprint:
+    if hit is not None and hit[0] == version:
         return hit[1]
     op = spec.build(A)
-    cache[A] = (fingerprint, op)
+    cache[A] = (version, op)
     return op
 
 

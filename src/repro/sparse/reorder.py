@@ -29,7 +29,7 @@ def _symmetrized_adjacency(A: CSRMatrix) -> CSRMatrix:
     if A.nrows != A.ncols:
         raise ValueError("reordering requires a square matrix")
     t = A.transpose()
-    ones_a = CSRMatrix(A.row_ptr.copy(), A.col_idx.copy(), np.ones(A.nnz), ncols=A.ncols, check=False)
+    ones_a = CSRMatrix(A.row_ptr, A.col_idx, np.ones(A.nnz), ncols=A.ncols, check=False)
     ones_t = CSRMatrix(t.row_ptr, t.col_idx, np.ones(t.nnz), ncols=t.ncols, check=False)
     return ones_a.add(ones_t)
 

@@ -98,7 +98,8 @@ def _segmented_block_rowsums(
         colbuf = None
         for j in range(k):
             # indices are validated at CSRMatrix construction; mode="clip"
-            # skips numpy's per-element bounds check in the gather
+            # skips numpy's per-element bounds check in the gather (col_idx
+            # is the writeable CSRMatrix.take_index(), so take copies nothing)
             prod = XT[j].take(col_idx, mode="clip")
             np.multiply(prod, val, out=prod)
             ocol = out[:, j]
@@ -160,14 +161,14 @@ def spmm(A: "CSRMatrix", X: np.ndarray, out: np.ndarray | None = None) -> np.nda
         out = np.empty((A.nrows, X.shape[1]))
     else:
         check_out(out, (A.nrows, X.shape[1]))
-    return _segmented_block_rowsums(A.row_ptr, A.col_idx, A.val, X, out)
+    return _segmented_block_rowsums(A.row_ptr, A.take_index(), A.val, X, out)
 
 
 def spmm_add(A: "CSRMatrix", X: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Accumulate ``C += A @ X`` into a preallocated ``(m, k)`` block."""
     X = _check_block(A, X)
     check_out(out, (A.nrows, X.shape[1]))
-    return _segmented_block_rowsums(A.row_ptr, A.col_idx, A.val, X, out, add=True)
+    return _segmented_block_rowsums(A.row_ptr, A.take_index(), A.val, X, out, add=True)
 
 
 def spmm_rows(
@@ -186,7 +187,7 @@ def spmm_rows(
     hi = int(A.row_ptr[row_hi])
     sub_ptr = A.row_ptr[row_lo : row_hi + 1] - lo
     _segmented_block_rowsums(
-        sub_ptr, A.col_idx[lo:hi], A.val[lo:hi], X, out[row_lo:row_hi]
+        sub_ptr, A.take_index()[lo:hi], A.val[lo:hi], X, out[row_lo:row_hi]
     )
     return out
 

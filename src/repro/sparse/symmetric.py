@@ -56,15 +56,7 @@ class SymmetricCSR:
         if check and not A.is_symmetric(tol=tol):
             raise ValueError("matrix is not symmetric (within tolerance)")
         rows = np.repeat(np.arange(A.nrows, dtype=np.int64), A.row_nnz())
-        keep = A.col_idx >= rows
-        kept_rows = rows[keep]
-        row_ptr = np.zeros(A.nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, kept_rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        upper = CSRMatrix(
-            row_ptr, A.col_idx[keep].copy(), A.val[keep].copy(), ncols=A.ncols, check=False
-        )
-        return cls(upper, A.nrows)
+        return cls(A.filter_entries(A.col_idx >= rows), A.nrows)
 
     @property
     def nnz_stored(self) -> int:
@@ -92,18 +84,7 @@ class SymmetricCSR:
 
     def _strict_upper(self) -> CSRMatrix:
         rows = np.repeat(np.arange(self.upper.nrows, dtype=np.int64), self.upper.row_nnz())
-        keep = self.upper.col_idx > rows
-        kept_rows = rows[keep]
-        row_ptr = np.zeros(self.upper.nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, kept_rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return CSRMatrix(
-            row_ptr,
-            self.upper.col_idx[keep].copy(),
-            self.upper.val[keep].copy(),
-            ncols=self.upper.ncols,
-            check=False,
-        )
+        return self.upper.filter_entries(self.upper.col_idx > rows)
 
 
 def spmv_symmetric(A: SymmetricCSR, x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import build_halo_plan
 from repro.matrices import random_banded, random_sparse
-from repro.sparse import partition_matrix, partition_rows_balanced
+from repro.sparse import CSRMatrix, partition_matrix, partition_rows_balanced
 
 
 def _brute_force_needs(A, partition):
@@ -218,3 +218,106 @@ class TestStaleCacheGuard:
         assert op2 is not op  # pre-fix: cached operator with old values
         np.testing.assert_allclose(spec.spmv(op2, x), spmv(A, x), rtol=1e-13)
         np.testing.assert_allclose(spec.spmv(op2, x), 2.0 * y_before, rtol=1e-13)
+
+
+class TestValidByConstruction:
+    """The structure caches key hits on (identity, version) instead of a
+    checksum: CSRMatrix arrays are read-only and every reassignment of an
+    array or ``ncols`` bumps ``version``, so no staleness goes unnoticed
+    and a hit does no O(nnz) work."""
+
+    ARRAYS = ("row_ptr", "col_idx", "val")
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_element_writes_raise_on_user_matrices(self, name):
+        A = random_sparse(50, nnzr=4, seed=41)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(A, name)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(A, name)[:] += 0
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_element_writes_raise_on_halo_sub_matrices(self, name):
+        from repro.core.halo import cached_halo_plan
+
+        plan = cached_halo_plan(random_sparse(90, nnzr=5, seed=42), 3)
+        for rh in plan.ranks:
+            for sub in (rh.A_local, rh.A_remote):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(sub, name)[0:1] = 0
+
+    @pytest.mark.parametrize("name", (*ARRAYS, "ncols"))
+    def test_each_reassignment_bumps_version_and_rebuilds(self, name):
+        from repro.core.halo import cached_halo_plan
+        from repro.serve import cached_model
+        from repro.sparse.registry import build_operator
+
+        A = random_sparse(80, nnzr=5, seed=43)
+        plan = cached_halo_plan(A, 2)
+        op = build_operator("sell", A)
+        model = cached_model(A, 2)
+        version = A.version
+        setattr(A, name, getattr(A, name))  # same content, still a reassignment
+        assert A.version > version
+        assert cached_halo_plan(A, 2) is not plan
+        assert build_operator("sell", A) is not op
+        assert cached_model(A, 2) is not model
+        assert cached_halo_plan(A, 2) is cached_halo_plan(A, 2)
+
+    def test_view_over_writeable_buffer_is_copied(self):
+        B = random_sparse(40, nnzr=4, seed=44)
+        buf = np.concatenate([B.val, [7.0]])
+        view = buf[:-1]
+        A = CSRMatrix(B.row_ptr, B.col_idx, view, ncols=B.ncols)
+        assert not np.shares_memory(A.val, buf)
+        buf[0] += 1.0  # the caller's buffer stays writeable...
+        np.testing.assert_array_equal(A.val, B.val)  # ...and cannot reach A
+        assert buf.flags.writeable
+
+    def test_slices_of_frozen_arrays_are_shared(self):
+        # a view over a read-only buffer cannot change, so it is not copied
+        A = random_sparse(40, nnzr=4, seed=45)
+        top = A.extract_rows(0, 20)
+        assert np.shares_memory(top.val, A.val)
+
+    def test_reassigned_arrays_are_frozen(self):
+        A = random_sparse(40, nnzr=4, seed=46)
+        A.val = A.val * 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            A.val[0] = 0.0
+
+    def test_block_kernel_gathers_through_current_indices(self):
+        # spmm takes from a private writeable copy of col_idx (numpy's take
+        # copies read-only indices per call); it must follow reassignment
+        from repro.sparse import spmm, spmv
+
+        A = random_sparse(60, nnzr=4, seed=48)
+        B = random_sparse(60, nnzr=6, seed=49)
+        X = np.arange(120, dtype=float).reshape(60, 2)
+        spmm(A, X)
+        A.row_ptr, A.col_idx, A.val = B.row_ptr, B.col_idx, B.val
+        np.testing.assert_array_equal(spmm(A, X)[:, 1], spmv(B, X[:, 1]))
+        assert A.take_index().flags.writeable and not A.col_idx.flags.writeable
+        assert not np.shares_memory(A.take_index(), A.col_idx)
+
+    def test_cache_hits_do_no_checksum(self, monkeypatch):
+        import zlib
+
+        from repro.core.spmvm import distributed_spmv
+        from repro.serve import cached_model
+        from repro.sparse.registry import build_operator
+
+        A = random_sparse(120, nnzr=5, seed=47)
+        x = np.arange(120, dtype=float)
+        y = distributed_spmv(A, x, 2)
+        op = build_operator("sell", A)
+        model = cached_model(A, 2)
+
+        def no_crc32(*args, **kwargs):
+            raise AssertionError("a cache hit streamed the matrix through crc32")
+
+        monkeypatch.setattr(zlib, "crc32", no_crc32)
+        for _ in range(2):
+            np.testing.assert_array_equal(distributed_spmv(A, x, 2), y)
+            assert build_operator("sell", A) is op
+            assert cached_model(A, 2) is model
