@@ -281,7 +281,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     what it claims to.
 
     ``--programs`` statically lints every sweep program the builders can
-    emit (scheme x lowering x block width, :mod:`repro.program`) — the
+    emit (scheme x lowering x block width x chain length and mode,
+    :mod:`repro.program`) — the
     one place the Fig. 4 phase orderings live now that both backends
     dispatch through the IR.
 
@@ -313,9 +314,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if args.programs:
-        from repro.program import all_sweep_programs, lint_sweep_programs
+        from repro.program import (
+            CHECKED_SWEEP_COUNTS,
+            all_sweep_programs,
+            lint_sweep_programs,
+        )
 
-        programs = all_sweep_programs()
+        programs = all_sweep_programs(sweep_counts=CHECKED_SWEEP_COUNTS)
         findings = lint_sweep_programs(programs)
         title = f"sweep-program lint ({len(programs)} programs)"
         if not findings:

@@ -1,35 +1,37 @@
 """repro.program: the backend-neutral sweep IR for the Fig. 4 schemes.
 
-One :func:`build_sweep` program per scheme is the single source of truth
-for the paper's phase ordering (gather, halo exchange, local spMVM,
-waitall, remote spMVM); two interpreters execute it:
+One :class:`SweepProgram` type states a scheme's phase ordering (gather,
+halo exchange, local spMVM, waitall, remote spMVM) as data, and
+:func:`build_sweep` is the single source of truth that emits it.  A
+program spans ``n_sweeps`` chained sweeps — the matrix-powers kernel
+``A x .. A^N x`` — and a plain sweep is simply the ``n_sweeps = 1``
+case: its ops, signature and ``program_id`` carry no sweep tag.  For
+N > 1 cross-iteration pipelining (sweep ``i+1``'s receives hoisted
+before sweep ``i``'s remote kernel, double-buffered halo slots, one
+long-lived comm thread) is emitted as data too.  See DESIGN.md §10 and
+§15.
 
-* :func:`execute_sweep` — real execution on mpilite data (the engine
-  behind :class:`~repro.core.spmvm.DistributedSpMVM`),
-* :func:`sweep_process` — a timed simulator process (the engine behind
-  :func:`~repro.core.runner.simulate_spmvm`),
+Each backend has one interpreter for every program:
 
-and :func:`lint_sweep_program` proves a program's structural invariants
-(request lifecycle, comm-thread region balance, barrier placement)
-before either backend touches it.  See DESIGN.md §10.
+* :func:`execute_sweep` / :func:`execute_multi_sweep` — thin entries
+  (one result / the chain) to the one real-execution walker on mpilite
+  data (the engine behind :class:`~repro.core.spmvm.DistributedSpMVM`),
+* :func:`sweep_process` — the timed simulator process (the engine
+  behind :func:`~repro.core.runner.simulate_spmvm`),
 
-:func:`build_multi_sweep` extends the IR to *iteration-indexed*
-programs: one :class:`MultiSweepProgram` spans N chained sweeps (the
-matrix-powers kernel ``A x .. A^N x``) with explicit sweep tags, so
-cross-iteration pipelining — sweep ``i+1``'s receives hoisted before
-sweep ``i``'s remote kernel, double-buffered halo slots, one long-lived
-comm thread — is emitted as data, executed by both backends
-(:func:`execute_multi_sweep` / :func:`multi_sweep_process`) and proved
-safe by :func:`lint_multi_sweep_program`.  See DESIGN.md §15.
+and :func:`lint_sweep_program` proves a program's invariants (request
+lifecycle, buffer publication, comm-thread regions, chaining and the
+double-buffer contract) on a happens-before model before either backend
+touches it.  ``build_multi_sweep`` and ``lint_multi_sweep_program`` are
+the chained-program spellings of the same functions.
 """
 
 from repro.program.build import (
+    CHECKED_SWEEP_COUNTS,
     PROGRAM_SCHEMES,
-    all_multi_sweep_programs,
     all_sweep_programs,
     build_multi_sweep,
     build_sweep,
-    cached_multi_sweep_program,
     cached_sweep_program,
 )
 from repro.program.exec import execute_multi_sweep, execute_sweep
@@ -41,7 +43,6 @@ from repro.program.ir import (
     OP_KINDS,
     SIM_PHASE_LABELS,
     WORK_OPS,
-    MultiSweepProgram,
     SweepOp,
     SweepProgram,
 )
@@ -50,7 +51,7 @@ from repro.program.lint import (
     lint_sweep_program,
     lint_sweep_programs,
 )
-from repro.program.sim import multi_sweep_process, sweep_process
+from repro.program.sim import sweep_process
 
 __all__ = [
     "OP_KINDS",
@@ -62,18 +63,15 @@ __all__ = [
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",
-    "MultiSweepProgram",
     "PROGRAM_SCHEMES",
+    "CHECKED_SWEEP_COUNTS",
     "build_sweep",
+    "build_multi_sweep",
     "cached_sweep_program",
     "all_sweep_programs",
-    "build_multi_sweep",
-    "cached_multi_sweep_program",
-    "all_multi_sweep_programs",
     "execute_sweep",
     "execute_multi_sweep",
     "sweep_process",
-    "multi_sweep_process",
     "lint_sweep_program",
     "lint_multi_sweep_program",
     "lint_sweep_programs",

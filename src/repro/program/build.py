@@ -26,23 +26,28 @@ and under the program lint.
       POST_RECVS -> PACK -> OMP_BARRIER
                  -> COMM_THREAD(POST_SENDS, WAITALL)
                  -> LOCAL_SPMVM -> OMP_BARRIER -> REMOTE_SPMVM
+
+The same builder emits N chained sweeps (``n_sweeps``): either the
+plain concatenation of the orderings above, or a pipelined stream that
+hoists sweep ``s+1``'s receives before sweep ``s``'s halo-consuming
+kernel (and, in task mode, keeps one comm thread across all sweeps).
+One sweep is simply ``n_sweeps = 1``.
 """
 
 from __future__ import annotations
 
 import functools
 
-from repro.program.ir import MultiSweepProgram, SweepOp, SweepProgram
+from repro.program.ir import SweepOp, SweepProgram
 from repro.util import check_in, check_positive_int
 
 __all__ = [
     "PROGRAM_SCHEMES",
+    "CHECKED_SWEEP_COUNTS",
     "build_sweep",
+    "build_multi_sweep",
     "cached_sweep_program",
     "all_sweep_programs",
-    "build_multi_sweep",
-    "cached_multi_sweep_program",
-    "all_multi_sweep_programs",
 ]
 
 #: The Fig. 4 schemes, in paper order.  (Kept equal to
@@ -50,118 +55,34 @@ __all__ = [
 #: a package-health test — the builders are the source of truth.)
 PROGRAM_SCHEMES = ("no_overlap", "naive_overlap", "task_mode")
 
-
-def _op(kind: str) -> SweepOp:
-    return SweepOp(kind)
-
-
-def build_sweep(
-    scheme: str,
-    *,
-    block_k: int = 1,
-    comm_plan: str = "classic",
-) -> SweepProgram:
-    """Build the sweep program of one Fig. 4 *scheme*.
-
-    ``block_k`` is the number of right-hand sides per sweep (the op
-    sequence is identical for every k; the simulator prices compute ops
-    with it).  ``comm_plan`` selects the lowering of the communication
-    ops: ``"classic"`` sends one message per peer straight off the halo
-    lists, ``"plan"`` replays a compiled :class:`~repro.comm.plan.CommPlan`
-    (direct or node-aware).
-    """
-    check_in(scheme, PROGRAM_SCHEMES, "scheme")
-    if scheme == "no_overlap":
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("POST_SENDS"),
-            _op("WAITALL"),
-            _op("FULL_SPMVM"),
-        )
-    elif scheme == "naive_overlap":
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("POST_SENDS"),
-            _op("LOCAL_SPMVM"),
-            _op("WAITALL"),
-            _op("REMOTE_SPMVM"),
-        )
-    else:  # task_mode
-        ops = (
-            _op("POST_RECVS"),
-            _op("PACK"),
-            _op("OMP_BARRIER"),
-            SweepOp("COMM_THREAD", body=(_op("POST_SENDS"), _op("WAITALL"))),
-            _op("LOCAL_SPMVM"),
-            _op("OMP_BARRIER"),
-            _op("REMOTE_SPMVM"),
-        )
-    return SweepProgram(
-        scheme=scheme,
-        ops=ops,
-        block_k=block_k,
-        lowering=comm_plan,
-        meta={"builder": "build_sweep"},
-    )
+#: Chain lengths ``repro check --programs`` lints: one plain sweep plus
+#: the shortest chains that exercise every cross-sweep rule.
+CHECKED_SWEEP_COUNTS = (1, 2, 3)
 
 
-@functools.lru_cache(maxsize=None)
-def cached_sweep_program(
-    scheme: str,
-    *,
-    block_k: int = 1,
-    comm_plan: str = "classic",
-) -> SweepProgram:
-    """The compile-once twin of :func:`build_sweep`.
-
-    Programs are immutable data, so every engine and every
-    :class:`~repro.serve.BuiltModel` asking for the same
-    ``(scheme, block_k, lowering)`` shares one compiled instance — the
-    build-once/serve-many contract applied to the IR itself.  The
-    domain is tiny (schemes × lowerings × a few block widths), so the
-    memo is unbounded.
-    """
-    return build_sweep(scheme, block_k=block_k, comm_plan=comm_plan)
-
-
-def all_sweep_programs(
-    *, block_widths: tuple[int, ...] = (1, 4)
-) -> list[SweepProgram]:
-    """Every builder output: scheme x lowering x block width.
-
-    This is what ``repro check --programs`` lints — the complete set of
-    programs either backend can ever be handed.
-    """
-    return [
-        build_sweep(scheme, block_k=k, comm_plan=lowering)
-        for scheme in PROGRAM_SCHEMES
-        for lowering in ("classic", "plan")
-        for k in block_widths
-    ]
-
-
-# ----------------------------------------------------------------------
-# multi-sweep builders: N chained sweeps, optionally pipelined across
-# the sweep boundaries
-# ----------------------------------------------------------------------
-def _sop(kind: str, sweep: int) -> SweepOp:
+def _op(kind: str, sweep: int = 0) -> SweepOp:
     return SweepOp(kind, sweep=sweep)
 
 
-def _sequential_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
-    """N copies of the single-sweep program, sweep-tagged back to back."""
-    single = build_sweep(scheme).ops
-    ops: list[SweepOp] = []
-    for s in range(n_sweeps):
-        for op in single:
-            if op.kind == "COMM_THREAD":
-                body = tuple(_sop(inner.kind, s) for inner in op.body)
-                ops.append(SweepOp("COMM_THREAD", body=body, sweep=s))
-            else:
-                ops.append(_sop(op.kind, s))
-    return tuple(ops)
+def _single_ops(scheme: str, s: int) -> tuple[SweepOp, ...]:
+    """One sweep of *scheme*, every op tagged *s*."""
+    if scheme == "no_overlap":
+        kinds = ("POST_RECVS", "PACK", "POST_SENDS", "WAITALL", "FULL_SPMVM")
+        return tuple(_op(kind, s) for kind in kinds)
+    if scheme == "naive_overlap":
+        kinds = ("POST_RECVS", "PACK", "POST_SENDS", "LOCAL_SPMVM", "WAITALL",
+                 "REMOTE_SPMVM")
+        return tuple(_op(kind, s) for kind in kinds)
+    return (  # task_mode
+        _op("POST_RECVS", s),
+        _op("PACK", s),
+        _op("OMP_BARRIER", s),
+        SweepOp("COMM_THREAD", body=(_op("POST_SENDS", s), _op("WAITALL", s)),
+                sweep=s),
+        _op("LOCAL_SPMVM", s),
+        _op("OMP_BARRIER", s),
+        _op("REMOTE_SPMVM", s),
+    )
 
 
 def _pipelined_vector_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
@@ -175,16 +96,16 @@ def _pipelined_vector_ops(scheme: str, n_sweeps: int) -> tuple[SweepOp, ...]:
     """
     split = scheme == "naive_overlap"
     kernel = "REMOTE_SPMVM" if split else "FULL_SPMVM"
-    ops: list[SweepOp] = [_sop("POST_RECVS", 0)]
+    ops: list[SweepOp] = [_op("POST_RECVS", 0)]
     for s in range(n_sweeps):
-        ops.append(_sop("PACK", s))
-        ops.append(_sop("POST_SENDS", s))
+        ops.append(_op("PACK", s))
+        ops.append(_op("POST_SENDS", s))
         if split:
-            ops.append(_sop("LOCAL_SPMVM", s))
-        ops.append(_sop("WAITALL", s))
+            ops.append(_op("LOCAL_SPMVM", s))
+        ops.append(_op("WAITALL", s))
         if s + 1 < n_sweeps:
-            ops.append(_sop("POST_RECVS", s + 1))
-        ops.append(_sop(kernel, s))
+            ops.append(_op("POST_RECVS", s + 1))
+        ops.append(_op(kernel, s))
     return tuple(ops)
 
 
@@ -210,51 +131,61 @@ def _pipelined_task_ops(n_sweeps: int) -> tuple[SweepOp, ...]:
     """
     body: list[SweepOp] = []
     for s in range(n_sweeps):
-        body.append(_sop("POST_SENDS", s))
-        body.append(_sop("WAITALL", s))
+        body.append(_op("POST_SENDS", s))
+        body.append(_op("WAITALL", s))
         if s + 1 < n_sweeps:
-            body.append(_sop("OMP_BARRIER", s))       # exchange-done s
-            body.append(_sop("POST_RECVS", s + 1))
-            body.append(_sop("OMP_BARRIER", s + 1))   # pack-published s+1
+            body.append(_op("OMP_BARRIER", s))       # exchange-done s
+            body.append(_op("POST_RECVS", s + 1))
+            body.append(_op("OMP_BARRIER", s + 1))   # pack-published s+1
     ops: list[SweepOp] = [
-        _sop("POST_RECVS", 0),
-        _sop("PACK", 0),
-        _sop("OMP_BARRIER", 0),
+        _op("POST_RECVS", 0),
+        _op("PACK", 0),
+        _op("OMP_BARRIER", 0),
         SweepOp("COMM_THREAD", body=tuple(body)),
     ]
     for s in range(n_sweeps):
-        ops.append(_sop("LOCAL_SPMVM", s))
-        ops.append(_sop("OMP_BARRIER", s))            # exchange-done s (or join)
-        ops.append(_sop("REMOTE_SPMVM", s))
+        ops.append(_op("LOCAL_SPMVM", s))
+        ops.append(_op("OMP_BARRIER", s))            # exchange-done s (or join)
+        ops.append(_op("REMOTE_SPMVM", s))
         if s + 1 < n_sweeps:
-            ops.append(_sop("PACK", s + 1))
-            ops.append(_sop("OMP_BARRIER", s + 1))    # pack-published s+1
+            ops.append(_op("PACK", s + 1))
+            ops.append(_op("OMP_BARRIER", s + 1))    # pack-published s+1
     return tuple(ops)
 
 
-def build_multi_sweep(
+def build_sweep(
     scheme: str,
-    n_sweeps: int,
+    n_sweeps: int = 1,
     *,
     pipeline: bool = True,
     block_k: int = 1,
     comm_plan: str = "classic",
-) -> MultiSweepProgram:
-    """Build the N-sweep chained program of one Fig. 4 *scheme*.
+) -> SweepProgram:
+    """Build the program of one Fig. 4 *scheme*: ``n_sweeps`` chained sweeps.
 
-    Sweep ``s`` consumes sweep ``s-1``'s result (the matrix-powers
-    chain ``A x, A² x, ...``).  With ``pipeline=True`` (the default)
-    sweep ``s+1``'s ``POST_RECVS`` is hoisted before sweep ``s``'s
-    halo-consuming kernel and the halo/send buffers are double-buffered
-    (``halo_depth = 2``); task mode additionally keeps one long-lived
-    communication thread across all sweeps.  ``pipeline=False`` emits
-    the plain concatenation of single-sweep programs (``halo_depth =
-    1``) — the bit-identity baseline the golden tests compare against.
+    ``block_k`` is the number of right-hand sides per sweep (the op
+    sequence is identical for every k; the simulator prices compute ops
+    with it).  ``comm_plan`` selects the lowering of the communication
+    ops: ``"classic"`` sends one message per peer straight off the halo
+    lists, ``"plan"`` replays a compiled :class:`~repro.comm.plan.CommPlan`
+    (direct or node-aware).
+
+    With ``n_sweeps > 1`` sweep ``s`` consumes sweep ``s-1``'s result
+    (the matrix-powers chain ``A x, A² x, ...``).  ``pipeline=True``
+    (the default) hoists sweep ``s+1``'s ``POST_RECVS`` before sweep
+    ``s``'s halo-consuming kernel and double-buffers the halo/send
+    buffers (``halo_depth = 2``); task mode additionally keeps one
+    long-lived communication thread across all sweeps.
+    ``pipeline=False`` emits the plain concatenation of single sweeps
+    (``halo_depth = 1``) — the bit-identity baseline the golden tests
+    compare against.  A single sweep has nothing to pipeline, so
+    ``n_sweeps = 1`` always yields the plain program.
     """
     check_in(scheme, PROGRAM_SCHEMES, "scheme")
     check_positive_int(n_sweeps, "n_sweeps")
-    if not pipeline or n_sweeps == 1:
-        ops = _sequential_ops(scheme, n_sweeps)
+    pipeline = pipeline and n_sweeps > 1
+    if not pipeline:
+        ops = tuple(op for s in range(n_sweeps) for op in _single_ops(scheme, s))
         halo_depth = 1
     elif scheme == "task_mode":
         ops = _pipelined_task_ops(n_sweeps)
@@ -262,7 +193,7 @@ def build_multi_sweep(
     else:
         ops = _pipelined_vector_ops(scheme, n_sweeps)
         halo_depth = 2
-    return MultiSweepProgram(
+    return SweepProgram(
         scheme=scheme,
         ops=ops,
         n_sweeps=n_sweeps,
@@ -270,38 +201,39 @@ def build_multi_sweep(
         block_k=block_k,
         lowering=comm_plan,
         halo_depth=halo_depth,
-        meta={"builder": "build_multi_sweep"},
+        meta={"builder": "build_sweep"},
     )
 
 
-@functools.lru_cache(maxsize=None)
-def cached_multi_sweep_program(
-    scheme: str,
-    n_sweeps: int,
+#: The chained-program spelling of :func:`build_sweep` (same function).
+build_multi_sweep = build_sweep
+
+#: The compile-once form of :func:`build_sweep`.  Programs are immutable
+#: data, so every engine and every :class:`~repro.serve.BuiltModel`
+#: asking for the same program shares one compiled instance — the
+#: build-once/serve-many contract applied to the IR itself.  The domain
+#: is tiny (schemes × lowerings × a few widths and chain lengths), so
+#: the memo is unbounded.
+cached_sweep_program = functools.lru_cache(maxsize=None)(build_sweep)
+
+
+def all_sweep_programs(
     *,
-    pipeline: bool = True,
-    block_k: int = 1,
-    comm_plan: str = "classic",
-) -> MultiSweepProgram:
-    """The compile-once twin of :func:`build_multi_sweep`."""
-    return build_multi_sweep(
-        scheme, n_sweeps, pipeline=pipeline, block_k=block_k, comm_plan=comm_plan
-    )
+    sweep_counts: tuple[int, ...] = (1,),
+    block_widths: tuple[int, ...] = (1, 4),
+) -> list[SweepProgram]:
+    """Every builder output: scheme x lowering x N x mode x block width.
 
-
-def all_multi_sweep_programs(
-    *, sweep_counts: tuple[int, ...] = (2, 3), block_widths: tuple[int, ...] = (1, 4)
-) -> list[MultiSweepProgram]:
-    """Every multi-sweep builder output: scheme x lowering x N x mode x k.
-
-    ``repro check --programs`` lints these alongside the single-sweep
-    set — the complete multi-sweep surface either backend can be handed.
+    Chains (N > 1) come pipelined and sequential; a single sweep has
+    one form.  ``repro check --programs`` lints the set at
+    :data:`CHECKED_SWEEP_COUNTS` — the complete surface either backend
+    can be handed.
     """
     return [
-        build_multi_sweep(scheme, n, pipeline=pipeline, block_k=k, comm_plan=lowering)
+        build_sweep(scheme, n, pipeline=pipeline, block_k=k, comm_plan=lowering)
         for scheme in PROGRAM_SCHEMES
         for lowering in ("classic", "plan")
         for n in sweep_counts
-        for pipeline in (True, False)
+        for pipeline in ((True, False) if n > 1 else (False,))
         for k in block_widths
     ]

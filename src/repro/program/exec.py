@@ -1,11 +1,13 @@
 """Real-execution backend: interpreting a sweep program on mpilite data.
 
-:func:`execute_sweep` runs one :class:`~repro.program.ir.SweepProgram`
-on a :class:`~repro.core.spmvm.DistributedSpMVM` engine and returns this
-rank's slice of ``A @ x``.  The engine owns the long-lived state
-(communicator, halo bookkeeping, preallocated buffers, sub-matrices);
-the interpreter owns the phase ordering — which it takes entirely from
-the program, never from the scheme name.
+One walker runs every :class:`~repro.program.ir.SweepProgram` on a
+:class:`~repro.core.spmvm.DistributedSpMVM` engine.  The engine owns the
+long-lived state (communicator, halo bookkeeping, preallocated buffer
+rings, sub-matrices); the walker owns the phase ordering — which it
+takes entirely from the program, never from the scheme name.  Two thin
+entries share it: :func:`execute_sweep` returns this rank's slice of
+``A @ x`` for a single sweep, :func:`execute_multi_sweep` the slices of
+the chain ``[A x, ..., A^N x]``.
 
 One interpreter covers the whole pre-IR ``_multiply_*`` family:
 
@@ -16,11 +18,16 @@ One interpreter covers the whole pre-IR ``_multiply_*`` family:
   plan's sends; ``WAITALL`` completes per-peer receives vs. running the
   plan's forward/scatter relays),
 * ``COMM_THREAD`` spawns a real thread executing the body ops — the
-  Fig. 4c code structure — joined at the next ``OMP_BARRIER``.
+  Fig. 4c code structure.  Body ``OMP_BARRIER`` ops rendezvous with the
+  main path's barriers (one thread spanning a chain); the first
+  main-path barrier past the last rendezvous joins the thread,
+* sweep ``s`` works on its own :class:`_SweepState` view: input (sweep
+  ``s-1``'s result), requests, result, and slot ``s % halo_depth`` of
+  the engine's halo/send-buffer ring.
 
-Numerics are scheme- and lowering-independent by construction: the local
-part is always accumulated before the remote part, row by row, and the
-exchange only copies float64 payloads.
+Numerics are scheme-, lowering- and pipelining-independent by
+construction: the local part is always accumulated before the remote
+part, row by row, and the exchange only copies float64 payloads.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.program.ir import MultiSweepProgram, SweepOp, SweepProgram
+from repro.program.ir import SweepOp, SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.spmvm import DistributedSpMVM
@@ -54,51 +61,38 @@ class UnjoinedCommThreadError(RuntimeError):
 
 
 class _SweepState:
-    """Per-sweep mutable state shared between main and comm thread."""
+    """One sweep's view: input, halo/send slot, requests and result."""
 
-    __slots__ = (
-        "x", "halo_out", "send_bufs", "recvs", "reqs", "y", "thread", "error",
-        "san", "domain", "comm_op", "comm_token",
-    )
+    __slots__ = ("x", "halo_out", "send_bufs", "recvs", "reqs", "y")
 
-    def __init__(self, x: np.ndarray, halo_out: np.ndarray, send_bufs) -> None:
+    def __init__(self, x: np.ndarray | None, halo_out: np.ndarray, send_bufs) -> None:
         self.x = x
         self.halo_out = halo_out
         self.send_bufs = send_bufs
         self.recvs: list | None = None  # classic: [(src, Request)]
         self.reqs: dict | None = None  # plan: {channel: Request}
         self.y: np.ndarray | None = None
-        self.thread: threading.Thread | None = None
-        self.error: list[BaseException] = []
+
+
+class _Run:
+    """Whole-program state: the sweep views plus the open comm thread.
+
+    The comm-thread fields are set when a region spawns, so a program
+    without one pays for none of them.
+    """
+
+    __slots__ = (
+        "program", "views", "san", "domain", "thread", "comm_op", "barrier",
+        "rendezvous_left", "error", "comm_token",
+    )
+
+    def __init__(self, program: SweepProgram, views: list[_SweepState], san) -> None:
+        self.program = program
+        self.views = views
         #: opt-in thread sanitizer (repro.check.threads); None costs nothing
-        self.san = None
-        self.domain = ""
-        self.comm_op: SweepOp | None = None  # open COMM_THREAD, for provenance
-        self.comm_token: int | None = None  # sanitizer spawn token
-
-
-#: Buffers each op kind reads/writes — the access model the thread
-#: sanitizer checks.  PACK publishes send_bufs from x; the comm side
-#: (POST_SENDS/WAITALL) consumes x and send_bufs and lands halo_out
-#: (the plan lowering re-packs from x inside the sends and reads x
-#: during finish relays, hence x on both); the compute side reads x and
-#: halo_out into y.  OMP_BARRIER is pure synchronisation.
-_OP_READS = {
-    "PACK": ("x",),
-    "POST_SENDS": ("x", "send_bufs"),
-    "WAITALL": ("x", "recvs"),
-    "LOCAL_SPMVM": ("x",),
-    "REMOTE_SPMVM": ("halo_out",),
-    "FULL_SPMVM": ("x", "halo_out"),
-}
-_OP_WRITES = {
-    "POST_RECVS": ("recvs",),
-    "PACK": ("send_bufs",),
-    "WAITALL": ("halo_out",),
-    "LOCAL_SPMVM": ("y",),
-    "REMOTE_SPMVM": ("y",),
-    "FULL_SPMVM": ("y",),
-}
+        self.san = san
+        self.thread: threading.Thread | None = None
+        self.comm_op: SweepOp | None = None  # last COMM_THREAD, for provenance
 
 
 def execute_sweep(
@@ -108,12 +102,55 @@ def execute_sweep(
     *,
     op_log: list[str] | None = None,
 ) -> np.ndarray:
-    """Run *program* once on *engine* with input *x* (1-D or ``(n, k)``).
+    """Run the single-sweep *program* on *engine* with input *x*.
 
+    *x* is 1-D or ``(n, k)``; returns this rank's slice of ``A @ x``.
     ``op_log``, when given, receives the program's signature tokens in
     issue order (comm-thread bodies at the spawn point) — the hook the
     golden cross-backend test uses to compare real execution against the
     simulated one.
+    """
+    if program.n_sweeps != 1:
+        raise ValueError(
+            f"execute_sweep runs one sweep, got a {program.n_sweeps}-sweep "
+            f"program (use execute_multi_sweep)"
+        )
+    return _execute(engine, program, x, op_log)[0].y
+
+
+def execute_multi_sweep(
+    engine: "DistributedSpMVM",
+    program: SweepProgram,
+    x: np.ndarray,
+    *,
+    op_log: list[str] | None = None,
+) -> "list[np.ndarray]":
+    """Run the N-sweep chained *program* on *engine* with input *x*.
+
+    Returns this rank's slices of the matrix-powers chain
+    ``[A x, A² x, ..., A^N x]`` (each sweep consumed the previous
+    sweep's result — valid because the operator is square and row and
+    column partitions coincide).  ``op_log`` receives the program's
+    signature tokens in issue order, as with :func:`execute_sweep`.
+
+    The arithmetic per sweep is identical to N back-to-back
+    :func:`execute_sweep` calls, whatever the pipelining — hoisted
+    receives and the persistent comm thread reorder *communication*,
+    never the kernels — so pipelined and sequential programs are
+    bit-identical.
+    """
+    return [view.y for view in _execute(engine, program, x, op_log)]
+
+
+def _execute(
+    engine: "DistributedSpMVM",
+    program: SweepProgram,
+    x: np.ndarray,
+    op_log: list[str] | None,
+) -> list[_SweepState]:
+    """The walker behind both entries: every op of *program*, in order.
+
+    Returns the sweep views, each holding its sweep's result.
     """
     if (program.lowering == "plan") != (engine.exchange is not None):
         have = "a" if engine.exchange is not None else "no"
@@ -121,109 +158,230 @@ def execute_sweep(
             f"program lowers communication as {program.lowering!r} but the "
             f"engine has {have} compiled comm plan"
         )
-    halo_out, send_bufs = engine.sweep_buffers(x)
-    state = _SweepState(x, halo_out, send_bufs)
-    san = getattr(engine, "sanitizer", None)
-    if san is not None:
-        state.san = san
-        state.domain = f"rank{engine.comm.rank}"
+    depth = program.halo_depth
+    ring = engine.sweep_ring(x, depth)
+    views = [_SweepState(x, *ring[0])]
+    if program.n_sweeps > 1:
+        views += [_SweepState(None, *ring[s % depth])
+                  for s in range(1, program.n_sweeps)]
+    run = _Run(program, views, getattr(engine, "sanitizer", None))
+    if run.san is not None:
+        run.domain = f"rank{engine.comm.rank}"
+    handlers = _OP_HANDLERS
     try:
-        _run_ops(engine, program.ops, state, op_log)
+        for op in program.ops:
+            kind = op.kind
+            if kind == "COMM_THREAD":
+                _spawn_comm_thread(engine, op, run, op_log)
+                continue
+            if op_log is not None:
+                op_log.append(program.token(op))
+            if kind == "OMP_BARRIER":
+                _omp_barrier(run)
+                continue
+            # _issue, inlined: this loop is the per-op cost of every sweep
+            view = views[op.sweep]
+            if view.x is None or run.san is not None:
+                _bind_and_note(run, op, view)
+            handlers[kind](engine, view)
     except BaseException:
-        if state.thread is not None:  # never leak the worker on the error path
-            state.thread.join()
+        if run.thread is not None:  # never leak the worker on the error path
+            if run.barrier is not None:
+                run.barrier.abort()
+            run.thread.join()
         raise
-    if state.thread is not None:
-        # pre-PR-9 this was a defensive join; now it is a hard error with
-        # provenance: the static lint rejects such programs, and any
-        # program reaching here ran compute ops concurrently with an open
-        # COMM_THREAD region — the exact hazard the thread sanitizer
-        # reports access by access
-        state.thread.join()
-        _raise_comm_error(state)
-        body = (
-            ",".join(inner.kind for inner in state.comm_op.body)
-            if state.comm_op is not None
-            else "?"
-        )
+    if run.thread is not None:
+        # the static lint rejects such programs; any program reaching
+        # here ran compute ops concurrently with an open COMM_THREAD
+        # region — the exact hazard the thread sanitizer reports access
+        # by access
+        if run.barrier is not None:
+            run.barrier.abort()  # release a worker parked at a rendezvous
+        run.thread.join()
+        _raise_comm_error(run)
+        body = ",".join(inner.kind for inner in run.comm_op.body)
         raise UnjoinedCommThreadError(
             f"rank {engine.comm.rank}: program for scheme {program.scheme!r} "
             f"finished with its COMM_THREAD({body}) region still open — no "
-            f"trailing OMP_BARRIER joined the communication thread"
+            f"main-path OMP_BARRIER joined the communication thread"
         )
-    _raise_comm_error(state)
-    if state.y is None:
-        raise RuntimeError(
-            f"program for scheme {program.scheme!r} finished without computing "
-            f"a result (no LOCAL_SPMVM/FULL_SPMVM op ran)"
-        )
-    return state.y
+    if run.comm_op is not None:
+        _raise_comm_error(run)
+    for view in views:
+        if view.y is None:
+            raise RuntimeError(
+                f"program for scheme {program.scheme!r} finished without "
+                f"computing sweep {views.index(view)}'s result (no "
+                f"LOCAL_SPMVM/FULL_SPMVM ran)"
+            )
+    return views
 
 
-def _run_ops(
-    engine: "DistributedSpMVM",
-    ops: tuple[SweepOp, ...],
-    state: _SweepState,
-    op_log: list[str] | None,
-) -> None:
-    for op in ops:
-        if op.kind == "COMM_THREAD":
-            _spawn_comm_thread(engine, op, state, op_log)
-            continue
-        if op_log is not None:
-            op_log.append(op.kind)
-        _issue(engine, op.kind, state)
+def _issue(engine: "DistributedSpMVM", op: SweepOp, run: _Run) -> None:
+    """Run one op against its sweep's view (the comm thread's path)."""
+    view = run.views[op.sweep]
+    if view.x is None or run.san is not None:
+        _bind_and_note(run, op, view)
+    _OP_HANDLERS[op.kind](engine, view)
 
 
-def _issue(engine: "DistributedSpMVM", kind: str, state: _SweepState) -> None:
-    """Run one op, noting its buffer accesses when a sanitizer is attached."""
-    san = state.san
-    if san is not None:
-        domain = state.domain
-        for buf in _OP_READS.get(kind, ()):
-            san.on_access(domain, buf, "r", op=kind)
-        for buf in _OP_WRITES.get(kind, ()):
-            san.on_access(domain, buf, "w", op=kind)
-    _OP_HANDLERS[kind](engine, state)
+def _bind_and_note(run: _Run, op: SweepOp, view: _SweepState) -> None:
+    """The slow path of issuing an op: chained input and sanitizer."""
+    if view.x is None:
+        # chained input: sweep s consumes sweep s-1's result; the
+        # previous kernel is ordered before every consumer (lint), so
+        # the binding is always resolved by the time a reader runs
+        view.x = run.views[op.sweep - 1].y
+    if run.san is not None:
+        _note_accesses(run, op)
+
+
+def _note_accesses(run: _Run, op: SweepOp) -> None:
+    """Report *op*'s buffer footprint to the thread sanitizer.
+
+    PACK publishes the send slot from the sweep input; the comm side
+    (POST_SENDS/WAITALL) consumes the input and send slot and lands the
+    halo slot (the plan lowering re-packs from the input inside the
+    sends and reads it during finish relays, hence the input on both);
+    the compute side reads input and halo slot into the result.
+    ``POST_RECVS`` also *writes* its halo slot: the MPI library owns the
+    receive buffer from the post on, which is exactly the access that
+    races a remote kernel still reading that slot when the double-buffer
+    contract is violated.  Names carry the slot (``halo_out#1``) and the
+    sweep (``recvs@2``, ``y@2``) so the sanitizer sees cross-iteration
+    overlap on the *same physical buffer*.
+    """
+    s = op.sweep
+    slot = s % run.program.halo_depth
+    x = "x@0" if s == 0 else f"y@{s - 1}"
+    halo, sb = f"halo_out#{slot}", f"send_bufs#{slot}"
+    recvs, y = f"recvs@{s}", f"y@{s}"
+    reads = {
+        "PACK": (x,),
+        "POST_SENDS": (x, sb),
+        "WAITALL": (x, recvs),
+        "LOCAL_SPMVM": (x,),
+        "REMOTE_SPMVM": (halo,),
+        "FULL_SPMVM": (x, halo),
+    }.get(op.kind, ())
+    writes = {
+        "POST_RECVS": (recvs, halo),
+        "PACK": (sb,),
+        "WAITALL": (halo,),
+        "LOCAL_SPMVM": (y,),
+        "REMOTE_SPMVM": (y,),
+        "FULL_SPMVM": (y,),
+    }.get(op.kind, ())
+    label = run.program.token(op)
+    for buf in reads:
+        run.san.on_access(run.domain, buf, "r", op=label)
+    for buf in writes:
+        run.san.on_access(run.domain, buf, "w", op=label)
 
 
 def _spawn_comm_thread(
     engine: "DistributedSpMVM",
     op: SweepOp,
-    state: _SweepState,
+    run: _Run,
     op_log: list[str] | None,
 ) -> None:
-    if state.thread is not None:
+    """Start the comm thread of a ``COMM_THREAD`` region.
+
+    The region's body ``OMP_BARRIER`` ops (:attr:`SweepOp.rendezvous`)
+    tell the main path which of its own barriers rendezvous and which
+    one (the first past the last rendezvous) joins the thread.
+    """
+    if run.thread is not None:
         raise RuntimeError("COMM_THREAD spawned while another is still open")
     if op_log is not None:
         op_log.append("COMM_THREAD{")
-        op_log.extend(inner.kind for inner in op.body)
+        op_log.extend(run.program.token(inner) for inner in op.body)
         op_log.append("}")
+    run.rendezvous_left = op.rendezvous
+    run.barrier = threading.Barrier(2) if op.rendezvous else None
+    run.error = []
     name = f"comm-thread-{engine.comm.rank}"
     token = None
-    if state.san is not None:
-        token = state.san.on_spawn(state.domain, name)
+    if run.san is not None:
+        token = run.san.on_spawn(run.domain, name)
 
     def worker() -> None:
         try:
             if token is not None:
-                state.san.on_thread_start(state.domain, token)
+                run.san.on_thread_start(run.domain, token)
+            idx = 0
             for inner in op.body:
-                _issue(engine, inner.kind, state)
+                if inner.kind == "OMP_BARRIER":
+                    _rendezvous(run, "comm", idx)
+                    idx += 1
+                else:
+                    _issue(engine, inner, run)
         except BaseException as exc:  # noqa: BLE001 - re-raised on join
-            state.error.append(exc)
+            run.error.append(exc)
+            if run.barrier is not None:
+                run.barrier.abort()  # wake a main thread parked at a rendezvous
 
-    state.comm_op = op
-    state.comm_token = token
-    state.thread = threading.Thread(target=worker, name=name)
-    state.thread.start()
+    run.comm_op = op
+    run.comm_token = token
+    run.thread = threading.Thread(target=worker, name=name)
+    run.thread.start()
 
 
-def _raise_comm_error(state: _SweepState) -> None:
-    if state.error:
+def _rendezvous(run: _Run, side: str, idx: int) -> None:
+    """One two-party barrier rendezvous, with sanitizer hand-off edges.
+
+    Each side releases its own token before the physical wait and
+    acquires the other side's after it — a bidirectional happens-before
+    edge.  The tokens carry the rendezvous ordinal *idx*: with one token
+    per side a thread that races ahead to the NEXT rendezvous would
+    overwrite its release clock before the peer's acquire reads it,
+    forging a happens-before edge that hides real races.
+    """
+    other = "comm" if side == "main" else "main"
+    if run.san is not None:
+        run.san.on_release(run.domain, f"rdv:{side}:{idx}")
+    run.barrier.wait(timeout=_RENDEZVOUS_TIMEOUT)
+    if run.san is not None:
+        run.san.on_acquire(run.domain, f"rdv:{other}:{idx}")
+
+
+def _omp_barrier(run: _Run) -> None:
+    """A main-path OMP_BARRIER: rendezvous with, or join, the comm thread.
+
+    With no comm thread open it is the compute threads' rendezvous — a
+    no-op for one compute thread.
+    """
+    if run.thread is None:
+        return
+    if run.rendezvous_left:
+        idx = run.comm_op.rendezvous - run.rendezvous_left
+        run.rendezvous_left -= 1
+        try:
+            _rendezvous(run, "main", idx)
+        except threading.BrokenBarrierError:
+            # the comm thread died (it aborts the barrier on error) or
+            # timed out: surface its failure, never deadlock
+            run.thread.join()
+            run.thread = None
+            _raise_comm_error(run)
+            raise
+        return
+    run.thread.join()
+    run.thread = None
+    if run.san is not None and run.comm_token is not None:
+        run.san.on_join(run.domain, run.comm_token)
+        run.comm_token = None
+    _raise_comm_error(run)
+
+
+def _raise_comm_error(run: _Run) -> None:
+    if not run.error:
+        return
+    real = [e for e in run.error if not isinstance(e, threading.BrokenBarrierError)]
+    if real:
         raise RuntimeError(
-            f"communication thread failed: {state.error[0]!r}"
-        ) from state.error[0]
+            f"communication thread failed: {real[0]!r}"
+        ) from real[0]
 
 
 # ----------------------------------------------------------------------
@@ -285,20 +443,6 @@ def _full_spmvm(engine: "DistributedSpMVM", state: _SweepState) -> None:
     _remote_spmvm(engine, state)
 
 
-def _omp_barrier(engine: "DistributedSpMVM", state: _SweepState) -> None:
-    # single main thread + optional comm thread: the barrier's only real
-    # effect is joining an open COMM_THREAD region (Fig. 4c's second
-    # barrier); with no thread open it is the compute threads' rendezvous,
-    # a no-op for one compute thread
-    if state.thread is not None:
-        state.thread.join()
-        state.thread = None
-        if state.san is not None and state.comm_token is not None:
-            state.san.on_join(state.domain, state.comm_token)
-            state.comm_token = None
-        _raise_comm_error(state)
-
-
 _OP_HANDLERS = {
     "POST_RECVS": _post_recvs,
     "PACK": _pack,
@@ -307,269 +451,4 @@ _OP_HANDLERS = {
     "LOCAL_SPMVM": _local_spmvm,
     "REMOTE_SPMVM": _remote_spmvm,
     "FULL_SPMVM": _full_spmvm,
-    "OMP_BARRIER": _omp_barrier,
 }
-
-
-# ----------------------------------------------------------------------
-# multi-sweep interpreter: chained sweeps, double-buffered halo slots,
-# one persistent comm thread paced by barrier rendezvous
-# ----------------------------------------------------------------------
-class _MultiSweepState:
-    """Whole-program state: per-sweep views plus the persistent thread.
-
-    Each sweep gets its own :class:`_SweepState` view (input, requests,
-    result), with ``halo_out``/``send_bufs`` pointing into slot
-    ``sweep % halo_depth`` of the engine's double-buffer ring.  The op
-    handlers are the single-sweep ones, applied to the right view — the
-    multi-sweep layer only owns sweep chaining, slot mapping, and the
-    rendezvous protocol of the long-lived comm thread.
-    """
-
-    __slots__ = (
-        "views", "depth", "thread", "barrier", "rendezvous_left",
-        "rendezvous_total", "error", "san", "domain", "comm_op", "comm_token",
-    )
-
-    def __init__(self, depth: int = 1) -> None:
-        self.views: list[_SweepState] = []
-        self.depth = depth
-        self.thread: threading.Thread | None = None
-        self.barrier: threading.Barrier | None = None
-        self.rendezvous_left = 0
-        self.rendezvous_total = 0
-        self.error: list[BaseException] = []
-        self.san = None
-        self.domain = ""
-        self.comm_op: SweepOp | None = None
-        self.comm_token: int | None = None
-
-
-def _ms_buffer_names(op: SweepOp, slot: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Sanitizer footprint of *op*: slot/sweep-mapped buffer names.
-
-    The single-sweep footprints (:data:`_OP_READS`/:data:`_OP_WRITES`)
-    name one buffer set; here the names carry the double-buffer slot
-    (``halo_out#1``) and the sweep (``recvs@2``, ``y@2``) so the
-    sanitizer sees cross-iteration overlap on the *same physical
-    buffer*.  ``POST_RECVS`` additionally *writes* its halo slot: the
-    MPI library owns the receive buffer from the post on, which is
-    exactly the access that races a remote kernel still reading that
-    slot when the double-buffer contract is violated.
-    """
-    s = op.sweep
-    x = "x@0" if s == 0 else f"y@{s - 1}"
-    halo, sb = f"halo_out#{slot}", f"send_bufs#{slot}"
-    recvs, y = f"recvs@{s}", f"y@{s}"
-    reads = {
-        "PACK": (x,),
-        "POST_SENDS": (x, sb),
-        "WAITALL": (x, recvs),
-        "LOCAL_SPMVM": (x,),
-        "REMOTE_SPMVM": (halo,),
-        "FULL_SPMVM": (x, halo),
-    }.get(op.kind, ())
-    writes = {
-        "POST_RECVS": (recvs, halo),
-        "PACK": (sb,),
-        "WAITALL": (halo,),
-        "LOCAL_SPMVM": (y,),
-        "REMOTE_SPMVM": (y,),
-        "FULL_SPMVM": (y,),
-    }.get(op.kind, ())
-    return reads, writes
-
-
-def execute_multi_sweep(
-    engine: "DistributedSpMVM",
-    program: MultiSweepProgram,
-    x: np.ndarray,
-    *,
-    op_log: list[str] | None = None,
-) -> "list[np.ndarray]":
-    """Run the N-sweep chained *program* on *engine* with input *x*.
-
-    Returns this rank's slices of the matrix-powers chain
-    ``[A x, A² x, ..., A^N x]`` (each sweep consumed the previous
-    sweep's result — valid because the operator is square and row and
-    column partitions coincide).  ``op_log`` receives the program's
-    sweep-tagged signature tokens in issue order, as with
-    :func:`execute_sweep`.
-
-    The arithmetic per sweep is identical to N back-to-back
-    :func:`execute_sweep` calls, whatever the pipelining — hoisted
-    receives and the persistent comm thread reorder *communication*,
-    never the kernels — so pipelined and sequential programs are
-    bit-identical.
-    """
-    if (program.lowering == "plan") != (engine.exchange is not None):
-        have = "a" if engine.exchange is not None else "no"
-        raise ValueError(
-            f"program lowers communication as {program.lowering!r} but the "
-            f"engine has {have} compiled comm plan"
-        )
-    slots = engine.multi_sweep_buffers(x, program.halo_depth)
-    ms = _MultiSweepState(program.halo_depth)
-    for s in range(program.n_sweeps):
-        halo_out, send_bufs = slots[s % program.halo_depth]
-        view = _SweepState(x if s == 0 else None, halo_out, send_bufs)
-        ms.views.append(view)
-    san = getattr(engine, "sanitizer", None)
-    if san is not None:
-        ms.san = san
-        ms.domain = f"rank{engine.comm.rank}"
-    try:
-        for op in program.ops:
-            if op.kind == "COMM_THREAD":
-                _ms_spawn_comm_thread(engine, op, ms, op_log)
-                continue
-            if op_log is not None:
-                op_log.append(f"s{op.sweep}:{op.kind}")
-            if op.kind == "OMP_BARRIER":
-                _ms_barrier_main(ms)
-                continue
-            _ms_issue(engine, op, ms)
-    except BaseException:
-        if ms.thread is not None:  # never leak the worker on the error path
-            if ms.barrier is not None:
-                ms.barrier.abort()
-            ms.thread.join()
-        raise
-    if ms.thread is not None:
-        if ms.barrier is not None:
-            ms.barrier.abort()  # release a worker parked at a rendezvous
-        ms.thread.join()
-        _ms_raise_comm_error(ms)
-        raise UnjoinedCommThreadError(
-            f"rank {engine.comm.rank}: multi-sweep program for scheme "
-            f"{program.scheme!r} finished with its COMM_THREAD region still "
-            f"open — no main-path OMP_BARRIER joined the communication thread"
-        )
-    _ms_raise_comm_error(ms)
-    ys = []
-    for s, view in enumerate(ms.views):
-        if view.y is None:
-            raise RuntimeError(
-                f"multi-sweep program for scheme {program.scheme!r} finished "
-                f"without computing sweep {s}'s result"
-            )
-        ys.append(view.y)
-    return ys
-
-
-def _ms_issue(engine: "DistributedSpMVM", op: SweepOp, ms: _MultiSweepState) -> None:
-    """Issue one sweep-tagged op against its sweep's view."""
-    view = ms.views[op.sweep]
-    if view.x is None and op.sweep > 0:
-        # chained input: sweep s consumes sweep s-1's result; the
-        # previous kernel is ordered before every consumer (lint), so
-        # the binding is always resolved by the time a reader runs
-        view.x = ms.views[op.sweep - 1].y
-    san = ms.san
-    if san is not None:
-        reads, writes = _ms_buffer_names(op, op.sweep % ms.depth)
-        for buf in reads:
-            san.on_access(ms.domain, buf, "r", op=f"s{op.sweep}:{op.kind}")
-        for buf in writes:
-            san.on_access(ms.domain, buf, "w", op=f"s{op.sweep}:{op.kind}")
-    _OP_HANDLERS[op.kind](engine, view)
-
-
-def _ms_spawn_comm_thread(
-    engine: "DistributedSpMVM",
-    op: SweepOp,
-    ms: _MultiSweepState,
-    op_log: list[str] | None,
-) -> None:
-    """Start the long-lived comm thread of a multi-sweep region.
-
-    Body ``OMP_BARRIER`` ops are rendezvous with the matching main-path
-    barriers; the main path counts them at spawn so it knows which of
-    its own barriers rendezvous and which one (the first past the last
-    rendezvous) joins the thread.
-    """
-    if ms.thread is not None:
-        raise RuntimeError("COMM_THREAD spawned while another is still open")
-    if op_log is not None:
-        op_log.append("COMM_THREAD{")
-        op_log.extend(f"s{inner.sweep}:{inner.kind}" for inner in op.body)
-        op_log.append("}")
-    ms.rendezvous_left = sum(1 for inner in op.body if inner.kind == "OMP_BARRIER")
-    ms.rendezvous_total = ms.rendezvous_left
-    ms.barrier = threading.Barrier(2)
-    name = f"comm-thread-{engine.comm.rank}"
-    token = None
-    if ms.san is not None:
-        token = ms.san.on_spawn(ms.domain, name)
-
-    def worker() -> None:
-        try:
-            if token is not None:
-                ms.san.on_thread_start(ms.domain, token)
-            rdv = 0
-            for inner in op.body:
-                if inner.kind == "OMP_BARRIER":
-                    _ms_rendezvous(ms, "comm", rdv)
-                    rdv += 1
-                else:
-                    _ms_issue(engine, inner, ms)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on join
-            ms.error.append(exc)
-            ms.barrier.abort()  # wake a main thread parked at a rendezvous
-
-    ms.comm_op = op
-    ms.comm_token = token
-    ms.thread = threading.Thread(target=worker, name=name)
-    ms.thread.start()
-
-
-def _ms_rendezvous(ms: _MultiSweepState, side: str, idx: int) -> None:
-    """One two-party barrier rendezvous, with sanitizer hand-off edges.
-
-    Each side releases its own token before the physical wait and
-    acquires the other side's after it — a bidirectional happens-before
-    edge.  The tokens carry the rendezvous ordinal *idx*: with one token
-    per side a thread that races ahead to the NEXT rendezvous would
-    overwrite its release clock before the peer's acquire reads it,
-    forging a happens-before edge that hides real races.
-    """
-    other = "comm" if side == "main" else "main"
-    if ms.san is not None:
-        ms.san.on_release(ms.domain, f"rdv:{side}:{idx}")
-    ms.barrier.wait(timeout=_RENDEZVOUS_TIMEOUT)
-    if ms.san is not None:
-        ms.san.on_acquire(ms.domain, f"rdv:{other}:{idx}")
-
-
-def _ms_barrier_main(ms: _MultiSweepState) -> None:
-    """A main-path OMP_BARRIER: rendezvous with, or join, the comm thread."""
-    if ms.thread is None:
-        return  # single compute thread, no comm thread open: a no-op
-    if ms.rendezvous_left > 0:
-        idx = ms.rendezvous_total - ms.rendezvous_left
-        ms.rendezvous_left -= 1
-        try:
-            _ms_rendezvous(ms, "main", idx)
-        except threading.BrokenBarrierError:
-            # the comm thread died (it aborts the barrier on error) or
-            # timed out: surface its failure, never deadlock
-            ms.thread.join()
-            ms.thread = None
-            _ms_raise_comm_error(ms)
-            raise
-        return
-    ms.thread.join()
-    ms.thread = None
-    if ms.san is not None and ms.comm_token is not None:
-        ms.san.on_join(ms.domain, ms.comm_token)
-        ms.comm_token = None
-    _ms_raise_comm_error(ms)
-
-
-def _ms_raise_comm_error(ms: _MultiSweepState) -> None:
-    real = [e for e in ms.error
-            if not isinstance(e, threading.BrokenBarrierError)]
-    if real:
-        raise RuntimeError(
-            f"communication thread failed: {real[0]!r}"
-        ) from real[0]

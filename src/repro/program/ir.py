@@ -40,8 +40,11 @@ Op vocabulary
     communication thread before crossing it.
 ``COMM_THREAD(body)``
     Fig. 4c's dedicated communication thread: run *body* (MPI calls
-    only) concurrently with the ops that follow, until the next
-    ``OMP_BARRIER`` joins it.
+    only) concurrently with the ops that follow, until an
+    ``OMP_BARRIER`` joins it.  ``OMP_BARRIER`` ops inside the body are
+    rendezvous points with the matching main-path barriers (one
+    long-lived thread pacing chained sweeps); the first main-path
+    barrier past the last rendezvous is the join.
 
 Programs are backend-neutral and width-neutral: the same op sequence
 serves spmv (k = 1) and batched spmm (k > 1); ``block_k`` is metadata
@@ -50,6 +53,7 @@ for the simulator's cost model, not a structural parameter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -65,7 +69,6 @@ __all__ = [
     "SIM_PHASE_LABELS",
     "SweepOp",
     "SweepProgram",
-    "MultiSweepProgram",
 ]
 
 #: Every op kind the backends understand (stable identifiers; they are
@@ -88,14 +91,14 @@ COMPUTE_OPS = ("PACK", "LOCAL_SPMVM", "REMOTE_SPMVM", "FULL_SPMVM")
 #: Ops that execute MPI library code (legal inside a COMM_THREAD body).
 COMM_OPS = ("POST_RECVS", "POST_SENDS", "WAITALL")
 
-#: Body vocabulary of a *multi-sweep* COMM_THREAD region: MPI ops plus
-#: the OMP_BARRIER rendezvous points that pace a long-lived
-#: communication thread against the compute threads across sweeps.
+#: Body vocabulary of a COMM_THREAD region: MPI ops plus the
+#: OMP_BARRIER rendezvous points that pace a long-lived communication
+#: thread against the compute threads across sweeps.
 MULTI_BODY_OPS = COMM_OPS + ("OMP_BARRIER",)
 
 #: Ops that do per-sweep work (everything except synchronisation and the
-#: COMM_THREAD marker) — the multiset the multi-sweep builders must
-#: preserve per sweep relative to the single-sweep program.
+#: COMM_THREAD marker) — the multiset every sweep of a chained program
+#: must perform, however it is pipelined.
 WORK_OPS = COMM_OPS + COMPUTE_OPS
 
 #: How PACK/POST_SENDS/WAITALL reach the wire: ``classic`` is one
@@ -122,8 +125,8 @@ class SweepOp:
     holds the ops the dedicated communication thread executes.
 
     ``sweep`` tags the op with the sweep (iteration) it belongs to in a
-    :class:`MultiSweepProgram`.  Single-sweep programs leave it at 0, so
-    their reprs and signatures are unchanged.
+    chained :class:`SweepProgram`.  Single-sweep programs leave it at 0,
+    so their reprs carry no tag.
     """
 
     kind: str
@@ -143,6 +146,15 @@ class SweepOp:
         elif self.body:
             raise ValueError(f"op {self.kind} cannot carry a body")
 
+    @functools.cached_property
+    def rendezvous(self) -> int:
+        """``OMP_BARRIER`` rendezvous points in this region's body.
+
+        The main path's first that many barriers after the spawn pace
+        the comm thread; the next one joins it.  Counted once per op.
+        """
+        return sum(1 for inner in self.body if inner.kind == "OMP_BARRIER")
+
     def __repr__(self) -> str:
         tag = f"@{self.sweep}" if self.sweep else ""
         if self.kind == "COMM_THREAD":
@@ -152,22 +164,51 @@ class SweepOp:
 
 @dataclass(frozen=True)
 class SweepProgram:
-    """One scheme's full sweep, as data.
+    """An op stream spanning ``n_sweeps`` chained sweeps, as data.
 
     ``scheme`` names the Fig. 4 variant the program encodes, ``block_k``
     the number of right-hand sides per sweep (cost metadata), and
-    ``lowering`` how the communication ops reach the wire.
+    ``lowering`` how the communication ops reach the wire.  The default
+    ``n_sweeps = 1`` is one plain sweep; its signature tokens, op
+    labels and :meth:`program_id` carry no sweep tag.
+
+    With ``n_sweeps > 1`` every op carries a ``sweep`` tag, and the
+    stream may *pipeline* across sweep boundaries — sweep ``i+1``'s
+    ``POST_RECVS`` hoisted before sweep ``i``'s ``REMOTE_SPMVM``, halo
+    and send buffers double-buffered over ``halo_depth`` slots, and
+    (task mode) one long-lived ``COMM_THREAD`` region whose body spans
+    all sweeps, paced against the compute threads by ``OMP_BARRIER``
+    rendezvous points inside the body.
+
+    Execution semantics are *chained*: sweep ``s`` consumes the result
+    of sweep ``s-1`` as its input (the matrix-powers kernel
+    ``[A x, A² x, ..., A^N x]``), which is what the communication-
+    avoiding solvers fuse their spMVMs into.
+
+    ``halo_depth`` is the double-buffer contract: sweep ``s`` lands its
+    halo (and packs its sends) in slot ``s % halo_depth``, so
+    ``POST_RECVS s`` may only be hoisted above work that still reads
+    slot ``s % halo_depth`` when ``halo_depth`` sweeps separate them.
+    The lint (:func:`repro.program.lint.lint_sweep_program`) proves
+    that, and the thread sanitizer checks it access by access.
     """
 
     scheme: str
     ops: tuple[SweepOp, ...]
+    n_sweeps: int = 1
+    pipeline: bool = False
     block_k: int = 1
     lowering: str = "classic"
+    halo_depth: int = 1
     #: free-form provenance (builder name, plan kind, ...)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         check_in(self.lowering, LOWERINGS, "lowering")
+        if self.n_sweeps < 1:
+            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        if self.halo_depth < 1:
+            raise ValueError(f"halo_depth must be >= 1, got {self.halo_depth}")
         if self.block_k < 1:
             raise ValueError(f"block_k must be >= 1, got {self.block_k}")
         if not self.ops:
@@ -185,105 +226,29 @@ class SweepProgram:
             for inner in op.body:
                 yield inner, True
 
+    def token(self, op: SweepOp) -> str:
+        """*op*'s signature token: ``KIND``, or ``s{sweep}:KIND`` when N > 1."""
+        return op.kind if self.n_sweeps == 1 else f"s{op.sweep}:{op.kind}"
+
     def signature(self) -> tuple[str, ...]:
         """The canonical op sequence, with comm-thread regions delimited.
 
-        Both backends log exactly this shape while executing, so the
-        golden cross-backend test compares signatures, not object
-        graphs.  Body ops appear at the spawn point (issue order): the
-        true interleaving against the concurrent compute ops is the
-        schedulers' business, not the program's.
-        """
-        out: list[str] = []
-        for op in self.ops:
-            if op.kind == "COMM_THREAD":
-                out.append("COMM_THREAD{")
-                out.extend(inner.kind for inner in op.body)
-                out.append("}")
-            else:
-                out.append(op.kind)
-        return tuple(out)
-
-    def describe(self) -> str:
-        """One line: scheme, lowering and the op sequence."""
-        return (
-            f"{self.scheme} [{self.lowering}, k={self.block_k}]: "
-            + " -> ".join(repr(op) for op in self.ops)
-        )
-
-    def program_id(self) -> str:
-        """Short stable identifier for cost attribution (repro.obs)."""
-        return f"{self.scheme}/{self.lowering}/k{self.block_k}"
-
-
-@dataclass(frozen=True)
-class MultiSweepProgram:
-    """An op stream spanning ``n_sweeps`` chained sweeps, as data.
-
-    The multi-sweep twin of :class:`SweepProgram`: every op carries a
-    ``sweep`` tag, and the stream may *pipeline* across sweep boundaries
-    — sweep ``i+1``'s ``POST_RECVS`` hoisted before sweep ``i``'s
-    ``REMOTE_SPMVM``, halo and send buffers double-buffered over
-    ``halo_depth`` slots, and (task mode) one long-lived ``COMM_THREAD``
-    region whose body spans all sweeps, paced against the compute
-    threads by ``OMP_BARRIER`` rendezvous points inside the body.
-
-    Execution semantics are *chained*: sweep ``s`` consumes the result
-    of sweep ``s-1`` as its input (the matrix-powers kernel
-    ``[A x, A² x, ..., A^N x]``), which is what the communication-
-    avoiding solvers fuse their spMVMs into.
-
-    ``halo_depth`` is the double-buffer contract: sweep ``s`` lands its
-    halo (and packs its sends) in slot ``s % halo_depth``, so
-    ``POST_RECVS s`` may only be hoisted above work that still reads
-    slot ``s % halo_depth`` when ``halo_depth`` sweeps separate them.
-    The lint (:func:`repro.program.lint.lint_multi_sweep_program`)
-    proves that, and the thread sanitizer checks it access by access.
-    """
-
-    scheme: str
-    ops: tuple[SweepOp, ...]
-    n_sweeps: int
-    pipeline: bool = True
-    block_k: int = 1
-    lowering: str = "classic"
-    halo_depth: int = 2
-    #: free-form provenance (builder name, plan kind, ...)
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        check_in(self.lowering, LOWERINGS, "lowering")
-        if self.n_sweeps < 1:
-            raise ValueError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if self.halo_depth < 1:
-            raise ValueError(f"halo_depth must be >= 1, got {self.halo_depth}")
-        if self.block_k < 1:
-            raise ValueError(f"block_k must be >= 1, got {self.block_k}")
-        if not self.ops:
-            raise ValueError("a multi-sweep program needs at least one op")
-
-    def walk(self) -> Iterator[tuple[SweepOp, bool]]:
-        """Every op with its context: ``(op, inside_comm_thread)``."""
-        for op in self.ops:
-            yield op, False
-            for inner in op.body:
-                yield inner, True
-
-    def signature(self) -> tuple[str, ...]:
-        """The canonical sweep-tagged op sequence.
-
-        Tokens are ``s{sweep}:{kind}``; comm-thread regions are
+        Tokens come from :meth:`token`; comm-thread regions are
         delimited with ``COMM_THREAD{`` / ``}`` and their body ops
-        appear at the spawn point, exactly as both backends log them.
+        appear at the spawn point (issue order), exactly as both
+        backends log them — so the golden cross-backend test compares
+        signatures, not object graphs.  The true interleaving against
+        the concurrent compute ops is the schedulers' business, not the
+        program's.
         """
         out: list[str] = []
         for op in self.ops:
             if op.kind == "COMM_THREAD":
                 out.append("COMM_THREAD{")
-                out.extend(f"s{inner.sweep}:{inner.kind}" for inner in op.body)
+                out.extend(self.token(inner) for inner in op.body)
                 out.append("}")
             else:
-                out.append(f"s{op.sweep}:{op.kind}")
+                out.append(self.token(op))
         return tuple(out)
 
     def sweep_work_ops(self, sweep: int) -> tuple[str, ...]:
@@ -298,19 +263,23 @@ class MultiSweepProgram:
             if op.sweep == sweep and op.kind in WORK_OPS
         ))
 
-    def describe(self) -> str:
-        """One line: scheme, lowering, sweep count and the op sequence."""
+    def title(self) -> str:
+        """Scheme and shape, e.g. ``task_mode [classic, k=1]``."""
+        if self.n_sweeps == 1:
+            return f"{self.scheme} [{self.lowering}, k={self.block_k}]"
         mode = "pipelined" if self.pipeline else "sequential"
         return (
             f"{self.scheme} x{self.n_sweeps} [{mode}, {self.lowering}, "
-            f"k={self.block_k}, depth={self.halo_depth}]: "
-            + " -> ".join(repr(op) for op in self.ops)
+            f"k={self.block_k}, depth={self.halo_depth}]"
         )
+
+    def describe(self) -> str:
+        """One line: :meth:`title` and the op sequence."""
+        return f"{self.title()}: " + " -> ".join(repr(op) for op in self.ops)
 
     def program_id(self) -> str:
         """Short stable identifier for cost attribution (repro.obs)."""
-        mode = "pipe" if self.pipeline else "seq"
-        return (
-            f"{self.scheme}/{self.lowering}/k{self.block_k}"
-            f"/n{self.n_sweeps}/{mode}"
-        )
+        pid = f"{self.scheme}/{self.lowering}/k{self.block_k}"
+        if self.n_sweeps == 1:
+            return pid
+        return f"{pid}/n{self.n_sweeps}/{'pipe' if self.pipeline else 'seq'}"

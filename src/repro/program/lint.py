@@ -1,39 +1,52 @@
 """Program-level lint: proving a sweep program safe before any backend runs it.
 
-:func:`lint_sweep_program` checks the structural invariants both
-interpreters rely on and reports violations as ``program-lint``
+:func:`lint_sweep_program` checks the invariants both interpreters rely
+on and reports violations as ``program-lint``
 :class:`~repro.check.findings.Finding` records.  Because every scheme
 dispatches through :mod:`repro.program`, the correctness layer verifies
 the IR once — instead of chasing three hand-rolled implementations of
-the same phase ordering.
+the same phase ordering.  One rule set covers a single sweep and an
+N-sweep chain alike; most rules are stated on a *happens-before* model
+of the op stream (main path, comm-thread body, barriers and spawns),
+applied sweep by sweep.
 
 Invariants
 ----------
-* **vocabulary** — every op kind is known; ``COMM_THREAD`` bodies hold
-  MPI ops only (a communication thread executes library calls, never
-  compute);
-* **request lifecycle** — receives are posted exactly once and before
-  the sends, sends exactly once, and one ``WAITALL`` completes every
-  posted request (no leaked requests by construction);
-* **buffer publication** — ``PACK`` precedes ``POST_SENDS``; when the
-  sends run on the communication thread, an ``OMP_BARRIER`` separates
-  the pack from the spawn (the compute threads must publish the buffers
-  before the thread may touch them);
-* **comm-thread region balance** — at most one region, spawned after
-  the receives are posted, containing the ``WAITALL``, and joined by a
-  later ``OMP_BARRIER`` before any op that consumes the halo;
-* **data readiness** — ``REMOTE_SPMVM``/``FULL_SPMVM`` run only after
-  the exchange completed (a finished ``WAITALL`` on the main path, or
-  the joining barrier of the comm-thread region); the kernel writes the
-  result exactly once (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` +
-  ``REMOTE_SPMVM`` pair, local first).
+* **vocabulary** — every op is tagged with a sweep of the program;
+  ``COMM_THREAD`` bodies hold MPI ops and rendezvous barriers only (a
+  communication thread executes library calls, never compute);
+* **request lifecycle** — per sweep, receives are posted exactly once
+  and before the sends, sends exactly once, and one ``WAITALL``
+  completes every posted request (no leaked requests by construction);
+* **buffer publication** — per sweep, ``PACK`` happens before
+  ``POST_SENDS``; when the sends run on a communication thread spawned
+  after the pack, an ``OMP_BARRIER`` separates the pack from the spawn
+  (the compute threads must publish the buffers before the thread may
+  touch them);
+* **comm-thread regions** — at most one per sweep, never two open at
+  once, each joined by a main-path ``OMP_BARRIER`` past its last
+  rendezvous;
+* **data readiness and result shape** — the halo-consuming kernel
+  happens after the sweep's ``WAITALL``; the kernel writes the result
+  exactly once (one ``FULL_SPMVM`` or one ``LOCAL_SPMVM`` +
+  ``REMOTE_SPMVM`` pair, local first);
+* **chaining** — sweep ``s``'s pack and kernels happen after sweep
+  ``s-1``'s result is complete;
+* **double buffering** — ``POST_RECVS s`` (which re-arms halo slot
+  ``s % halo_depth``) happens after the kernel of sweep
+  ``s - halo_depth`` read that slot, and ``PACK s`` after the sends of
+  sweep ``s - halo_depth`` released the send-buffer slot.
+
+Messages name ops by their signature token (``WAITALL`` for a single
+sweep, ``s1:WAITALL`` in a chain).  "``b`` precedes ``a``" means ``b``
+is not ordered after ``a``: it runs first, or concurrently.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.program.ir import COMM_OPS, MULTI_BODY_OPS, MultiSweepProgram, SweepProgram
+from repro.program.ir import COMM_OPS, MULTI_BODY_OPS, SweepOp, SweepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.findings import Finding
@@ -41,124 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["lint_sweep_program", "lint_multi_sweep_program", "lint_sweep_programs"]
 
 
-def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
-    """Lint *program*; returns all findings (empty = provably well-formed)."""
-    from repro.check.findings import Finding
-
-    findings: list[Finding] = []
-    where = f"{program.scheme} [{program.lowering}, k={program.block_k}]"
-
-    def add(message: str, **details: object) -> None:
-        findings.append(Finding(
-            kind="program-lint",
-            message=f"{where}: {message}",
-            details={"scheme": program.scheme, "lowering": program.lowering,
-                     **details},
-        ))
-
-    # linearised views: (kind, in_comm_thread) in issue order, and the
-    # index of each main-path op
-    flat = list(program.walk())
-    main = [op.kind for op, inside in flat if not inside]
-
-    def count(kind: str) -> int:
-        return sum(1 for op, _inside in flat if op.kind == kind)
-
-    def main_index(kind: str) -> int | None:
-        return main.index(kind) if kind in main else None
-
-    # -- comm-thread body vocabulary ----------------------------------
-    for op, _ in flat:
-        if op.kind == "COMM_THREAD":
-            for inner in op.body:
-                if inner.kind not in COMM_OPS:
-                    add(f"comm thread executes {inner.kind}; a communication "
-                        f"thread may only run MPI ops {COMM_OPS}")
-
-    # -- request lifecycle --------------------------------------------
-    for kind in ("POST_RECVS", "POST_SENDS", "WAITALL"):
-        n = count(kind)
-        if n != 1:
-            add(f"{kind} appears {n}x (must be exactly once: every posted "
-                f"request is completed by the one WAITALL)")
-    order = [op.kind for op, _inside in flat]
-    if order.count("POST_RECVS") == 1 and order.count("POST_SENDS") == 1:
-        if order.index("POST_RECVS") > order.index("POST_SENDS"):
-            add("POST_SENDS issued before POST_RECVS: a sweep must prepost "
-                "its receives so no send can block on an unposted peer")
-    if order.count("POST_SENDS") == 1 and order.count("WAITALL") == 1:
-        if order.index("WAITALL") < order.index("POST_SENDS"):
-            add("WAITALL precedes POST_SENDS: the send requests it must "
-                "complete do not exist yet")
-
-    # -- buffer publication -------------------------------------------
-    pack_i = main_index("PACK")
-    if pack_i is None:
-        add("no PACK op: send buffers are never filled")
-    regions = [(i, op) for i, op in enumerate(program.ops) if op.kind == "COMM_THREAD"]
-    if len(regions) > 1:
-        add(f"{len(regions)} COMM_THREAD regions (at most one per sweep)")
-    for i, region in regions:
-        body_kinds = [inner.kind for inner in region.body]
-        before = [op.kind for op in program.ops[:i]]
-        if "WAITALL" in body_kinds and "POST_RECVS" not in before:
-            add("comm thread waits on receives that are not posted before "
-                "the region spawns")
-        if "POST_SENDS" in body_kinds:
-            if "PACK" in before and "OMP_BARRIER" not in before[before.index("PACK"):]:
-                add("comm thread sends buffers without an OMP_BARRIER after "
-                    "PACK: the compute threads never published them")
-        after = [op.kind for op in program.ops[i + 1:]]
-        if "OMP_BARRIER" not in after:
-            add("COMM_THREAD region is never joined: no OMP_BARRIER follows "
-                "it, so the sweep can finish with the exchange in flight")
-
-    # -- data readiness and result shape ------------------------------
-    exchange_done = _exchange_completion_index(program)
-    for i, op in enumerate(program.ops):
-        if op.kind in ("REMOTE_SPMVM", "FULL_SPMVM"):
-            if exchange_done is None or i < exchange_done:
-                add(f"{op.kind} consumes the halo before the exchange "
-                    f"completed (needs a finished WAITALL or the joining "
-                    f"barrier first)")
-    n_full, n_local, n_remote = count("FULL_SPMVM"), count("LOCAL_SPMVM"), count("REMOTE_SPMVM")
-    if n_full:
-        if n_full > 1 or n_local or n_remote:
-            add("FULL_SPMVM must be the only kernel op (it already writes "
-                "the whole result)")
-    elif (n_local, n_remote) != (1, 1):
-        add(f"split kernel needs exactly one LOCAL_SPMVM and one "
-            f"REMOTE_SPMVM (got {n_local} and {n_remote})")
-    elif main_index("LOCAL_SPMVM") is not None and main_index("REMOTE_SPMVM") is not None \
-            and main_index("LOCAL_SPMVM") > main_index("REMOTE_SPMVM"):
-        add("REMOTE_SPMVM before LOCAL_SPMVM: the remote phase accumulates "
-            "into the local phase's result")
-    return findings
-
-
-def _exchange_completion_index(program: SweepProgram) -> int | None:
-    """Main-path index after which the halo data is guaranteed landed.
-
-    That is the index just past a main-path ``WAITALL``, or past the
-    ``OMP_BARRIER`` that joins the comm-thread region carrying the
-    ``WAITALL``.  ``None`` when the exchange never provably completes.
-    """
-    for i, op in enumerate(program.ops):
-        if op.kind == "WAITALL":
-            return i + 1
-        if op.kind == "COMM_THREAD" and any(
-            inner.kind == "WAITALL" for inner in op.body
-        ):
-            for j in range(i + 1, len(program.ops)):
-                if program.ops[j].kind == "OMP_BARRIER":
-                    return j + 1
-            return None
-    return None
-
-
-# ----------------------------------------------------------------------
-# multi-sweep lint: a happens-before model over the whole op stream
-# ----------------------------------------------------------------------
 class _Item:
     """One issued op with its happens-before coordinates.
 
@@ -186,7 +81,7 @@ def _happens_before(a: _Item, b: _Item) -> bool:
     return a.path == b.path and a.pos < b.pos
 
 
-def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
+def _schedule_items(program: SweepProgram, add) -> list[_Item]:
     """Assign every issued op its (path, pos, step) coordinates.
 
     Main-path ``OMP_BARRIER`` ops advance the step.  A ``COMM_THREAD``
@@ -200,7 +95,7 @@ def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
     items: list[_Item] = []
     step = 0
     pos = 0
-    region = None  # (region_index, chunks, next_chunk)
+    region = None  # [region_index, chunks, next_chunk, body_pos]
     n_regions = 0
     for op in program.ops:
         if op.kind == "COMM_THREAD":
@@ -242,44 +137,79 @@ def _schedule_items(program: MultiSweepProgram, add) -> list[_Item]:
     return items
 
 
-def lint_multi_sweep_program(program: MultiSweepProgram) -> "list[Finding]":
-    """Lint a multi-sweep program; empty result = provably well-formed.
+def _unpublished_sends(program: SweepProgram) -> list[SweepOp]:
+    """Sends a region runs from its spawn on buffers packed before it
+    with no main-path ``OMP_BARRIER`` in between.
 
-    On top of the single-sweep vocabulary/lifecycle invariants (now per
-    sweep), this proves the *cross-sweep* ones on a happens-before model
-    of the stream: chained inputs (sweep s's pack/kernel run after sweep
-    s-1's kernel), halo readiness across iteration boundaries (WAITALL s
-    before the halo-consuming kernel of s), and the double-buffer
-    contract (POST_RECVS s — which re-arms halo slot ``s % halo_depth``
-    — only after the consumer of sweep ``s - halo_depth`` is done, and
-    PACK s only after POST_SENDS of ``s - halo_depth`` released the
-    send-buffer slot).
+    A spawn orders the pack before the send, but it is not a
+    publication point: the compute threads must cross a barrier after
+    packing before the communication thread may read the buffers.
     """
+    bad: list[SweepOp] = []
+    for i, region in enumerate(program.ops):
+        if region.kind != "COMM_THREAD":
+            continue
+        for inner in region.body:
+            if inner.kind == "OMP_BARRIER":
+                break  # later sends follow a rendezvous: published
+            if inner.kind != "POST_SENDS":
+                continue
+            packs = [j for j, op in enumerate(program.ops[:i])
+                     if op.kind == "PACK" and op.sweep == inner.sweep]
+            if packs and not any(op.kind == "OMP_BARRIER"
+                                 for op in program.ops[packs[-1]:i]):
+                bad.append(inner)
+    return bad
+
+
+#: Intra-sweep ordering rules ``(a, b, message)``: every ``a`` of a
+#: sweep must happen before every ``b`` of the same sweep.  Messages
+#: are formatted with the two ops' signature tokens.
+_SWEEP_ORDER = (
+    ("POST_RECVS", "POST_SENDS",
+     "{b} issued before {a}: a sweep must prepost its receives so no send "
+     "can block on an unposted peer"),
+    ("PACK", "POST_SENDS",
+     "{b} issued before {a}: the send buffers are not filled yet"),
+    ("POST_SENDS", "WAITALL",
+     "{b} precedes {a}: the send requests it must complete do not exist yet"),
+    ("POST_RECVS", "WAITALL",
+     "{b} precedes {a}: the receive requests it must complete do not exist "
+     "yet"),
+    ("WAITALL", "REMOTE_SPMVM",
+     "{b} consumes the halo before the exchange completed (needs a "
+     "finished {a} or the joining barrier first)"),
+    ("WAITALL", "FULL_SPMVM",
+     "{b} consumes the halo before the exchange completed (needs a "
+     "finished {a} or the joining barrier first)"),
+    ("LOCAL_SPMVM", "REMOTE_SPMVM",
+     "{b} before {a}: the remote phase accumulates into the local phase's "
+     "result"),
+)
+
+
+def lint_sweep_program(program: SweepProgram) -> "list[Finding]":
+    """Lint *program*; returns all findings (empty = provably well-formed)."""
     from repro.check.findings import Finding
 
     findings: list[Finding] = []
-    mode = "pipelined" if program.pipeline else "sequential"
-    where = (
-        f"{program.scheme} x{program.n_sweeps} [{mode}, {program.lowering}, "
-        f"k={program.block_k}, depth={program.halo_depth}]"
-    )
+    where = program.title()
+    n = program.n_sweeps
+    tok = program.token
 
-    def add(message: str, **details: object) -> None:
+    def add(message: str) -> None:
         findings.append(Finding(
             kind="program-lint",
             message=f"{where}: {message}",
             details={"scheme": program.scheme, "lowering": program.lowering,
-                     "n_sweeps": program.n_sweeps, "pipeline": program.pipeline,
-                     **details},
+                     "n_sweeps": n, "pipeline": program.pipeline},
         ))
-
-    n = program.n_sweeps
 
     # -- vocabulary and sweep tags ------------------------------------
     for op, inside in program.walk():
         if inside and op.kind not in MULTI_BODY_OPS:
-            add(f"comm thread executes {op.kind}; a multi-sweep communication "
-                f"thread may only run {MULTI_BODY_OPS}")
+            add(f"comm thread executes {tok(op)}; a communication thread may "
+                f"only run MPI ops {COMM_OPS} and OMP_BARRIER rendezvous")
         if op.kind != "COMM_THREAD" and not 0 <= op.sweep < n:
             add(f"{op.kind} tagged sweep {op.sweep}, outside 0..{n - 1}")
 
@@ -289,82 +219,87 @@ def lint_multi_sweep_program(program: MultiSweepProgram) -> "list[Finding]":
         return [it for it in items
                 if it.op.kind == kind and it.op.sweep == sweep]
 
-    def require(a_kind: str, s_a: int, b_kind: str, s_b: int, why: str) -> None:
+    def require(a_kind: str, s_a: int, b_kind: str, s_b: int, message: str) -> None:
         """Every (a, b) instance pair must satisfy a happens-before b."""
         for a in find(a_kind, s_a):
             for b in find(b_kind, s_b):
                 if not _happens_before(a, b):
-                    add(f"s{s_b}:{b_kind} is not ordered after s{s_a}:{a_kind} "
-                        f"({why})")
+                    add(message.format(a=tok(a.op), b=tok(b.op)))
+
+    def kernel_of(s: int) -> str:
+        """The op that completes sweep *s*'s result (and last reads its halo)."""
+        return "FULL_SPMVM" if find("FULL_SPMVM", s) else "REMOTE_SPMVM"
+
+    for send in _unpublished_sends(program):
+        add(f"comm thread sends {tok(send)} without an OMP_BARRIER after "
+            f"PACK: the compute threads never published the buffers")
 
     for s in range(n):
-        # -- per-sweep request lifecycle and kernel shape -------------
+        sweep = f"sweep {s}: " if n > 1 else ""
+        # -- per-sweep request lifecycle, regions and kernel shape ----
         for kind in ("POST_RECVS", "PACK", "POST_SENDS", "WAITALL"):
             c = len(find(kind, s))
-            if c != 1:
-                add(f"sweep {s}: {kind} appears {c}x (must be exactly once)")
+            if kind == "PACK" and c == 0:
+                add(f"{sweep}no PACK op: send buffers are never filled")
+            elif c != 1:
+                add(f"{sweep}{kind} appears {c}x (must be exactly once per "
+                    f"sweep)")
+        regions = sum(1 for op in program.ops
+                      if op.kind == "COMM_THREAD" and op.sweep == s)
+        if regions > 1:
+            add(f"{sweep}{regions} COMM_THREAD regions (at most one per sweep)")
         n_full = len(find("FULL_SPMVM", s))
         n_local = len(find("LOCAL_SPMVM", s))
         n_remote = len(find("REMOTE_SPMVM", s))
         if n_full:
             if n_full > 1 or n_local or n_remote:
-                add(f"sweep {s}: FULL_SPMVM must be the only kernel op")
+                add(f"{sweep}FULL_SPMVM must be the only kernel op (it "
+                    f"already writes the whole result)")
         elif (n_local, n_remote) != (1, 1):
-            add(f"sweep {s}: split kernel needs exactly one LOCAL_SPMVM and "
-                f"one REMOTE_SPMVM (got {n_local} and {n_remote})")
+            add(f"{sweep}split kernel needs exactly one LOCAL_SPMVM and one "
+                f"REMOTE_SPMVM (got {n_local} and {n_remote})")
 
         # -- intra-sweep ordering -------------------------------------
-        require("POST_RECVS", s, "POST_SENDS", s,
-                "receives must be preposted before the sends")
-        require("PACK", s, "POST_SENDS", s,
-                "send buffers must be published before they are sent")
-        require("POST_SENDS", s, "WAITALL", s,
-                "WAITALL completes requests that must already exist")
-        require("POST_RECVS", s, "WAITALL", s,
-                "WAITALL completes requests that must already exist")
-        for kernel in ("REMOTE_SPMVM", "FULL_SPMVM"):
-            require("WAITALL", s, kernel, s,
-                    "the kernel consumes the halo the exchange lands")
-        require("LOCAL_SPMVM", s, "REMOTE_SPMVM", s,
-                "the remote phase accumulates into the local result")
+        for a_kind, b_kind, message in _SWEEP_ORDER:
+            require(a_kind, s, b_kind, s, message)
 
         # -- chained input: sweep s consumes sweep s-1's result -------
         if s > 0:
-            prev_kernel = "FULL_SPMVM" if find("FULL_SPMVM", s - 1) else "REMOTE_SPMVM"
             for consumer in ("PACK", "POST_SENDS", "LOCAL_SPMVM", "FULL_SPMVM"):
-                require(prev_kernel, s - 1, consumer, s,
-                        "sweep input is the previous sweep's result")
+                require(kernel_of(s - 1), s - 1, consumer, s,
+                        "{b} is not ordered after {a}: the sweep input is the "
+                        "previous sweep's result")
 
         # -- double-buffer contract across halo_depth sweeps ----------
         d = program.halo_depth
         if s >= d:
-            old_kernel = "FULL_SPMVM" if find("FULL_SPMVM", s - d) else "REMOTE_SPMVM"
-            require(old_kernel, s - d, "POST_RECVS", s,
-                    f"POST_RECVS re-arms halo slot {s % d} while sweep "
-                    f"{s - d}'s kernel may still read it (halo_depth={d})")
+            require(kernel_of(s - d), s - d, "POST_RECVS", s,
+                    f"{{b}} re-arms halo slot {s % d} while {{a}} may still "
+                    f"read it (halo_depth={d})")
             require("POST_SENDS", s - d, "PACK", s,
-                    f"PACK refills send-buffer slot {s % d} while sweep "
-                    f"{s - d}'s sends may still read it (halo_depth={d})")
+                    f"{{b}} refills send-buffer slot {s % d} while {{a}} may "
+                    f"still read it (halo_depth={d})")
     return findings
 
 
+#: The chained-program spelling of :func:`lint_sweep_program` (same rules).
+lint_multi_sweep_program = lint_sweep_program
+
+
 def lint_sweep_programs(
-    programs: Iterable[SweepProgram | MultiSweepProgram] | None = None,
+    programs: Iterable[SweepProgram] | None = None,
 ) -> "list[Finding]":
     """Lint a collection of programs (default: every builder output).
 
     This is the ``repro check --programs`` sweep: all Fig. 4 builders,
-    both lowerings, scalar and batched widths — single-sweep and
-    multi-sweep programs alike (dispatched on type).
+    both lowerings, scalar and batched widths, single sweeps and the
+    chains of :data:`~repro.program.build.CHECKED_SWEEP_COUNTS`.
     """
-    from repro.program.build import all_multi_sweep_programs, all_sweep_programs
+    from repro.program.build import CHECKED_SWEEP_COUNTS, all_sweep_programs
 
     if programs is None:
-        programs = [*all_sweep_programs(), *all_multi_sweep_programs()]
+        programs = all_sweep_programs(sweep_counts=CHECKED_SWEEP_COUNTS)
     findings: list[Finding] = []
     for program in programs:
-        if isinstance(program, MultiSweepProgram):
-            findings.extend(lint_multi_sweep_program(program))
-        else:
-            findings.extend(lint_sweep_program(program))
+        findings.extend(lint_sweep_program(program))
     return findings

@@ -151,8 +151,9 @@ class DistributedOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Halo-exchanged distributed spMVM."""
-        self._count_exchanges(1)
-        return self.engine.multiply(x, self.scheme)
+        y = self.engine.multiply(x, self.scheme)
+        self._count_exchanges(1)  # after the call: rejected input sent nothing
+        return y
 
     def matvec_chain(self, x: np.ndarray, n: int, *, pipeline: bool = True) -> list[np.ndarray]:
         """``[A x, ..., Aⁿ x]`` as one multi-sweep program (matrix powers).
@@ -161,8 +162,9 @@ class DistributedOperator:
         sweep ``i``'s remote kernel (:func:`repro.program.build_multi_sweep`),
         still one exchange (= one message per peer) per sweep.
         """
+        ys = self.engine.multiply_chain(x, n, self.scheme, pipeline=pipeline)
         self._count_exchanges(n)
-        return self.engine.multiply_chain(x, n, self.scheme, pipeline=pipeline)
+        return ys
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """Allreduce inner product."""

@@ -260,3 +260,20 @@ def test_cli_lint_single_rule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "float64" in out
     assert "lock-discipline" not in out
+
+
+@pytest.mark.parametrize("table", [
+    get_rule("hot-path-alloc").HOT_FUNCTIONS,
+    get_rule("comm-thread-vocabulary").COMPUTE_FUNCTIONS,
+], ids=["hot-path-alloc", "comm-thread-vocabulary"])
+def test_function_tables_name_defined_functions(table):
+    # a renamed or deleted function would silently drop out of its rule
+    import ast
+
+    for suffix, names in table.items():
+        tree = ast.parse((DEFAULT_ROOT / suffix).read_text())
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert names <= defined, f"{suffix}: {sorted(names - defined)} not defined"

@@ -7,12 +7,14 @@ import pytest
 from repro.core import build_halo_plan, simulate_from_plan
 from repro.frame import TraceRecorder
 from repro.machine.presets import westmere_cluster
+from repro.program import WORK_OPS, build_sweep
 from repro.obs import (
     TransferSegment,
     bytes_moved_during,
     chrome_trace_events,
     merge_windows,
     overlap_bytes_with_phase,
+    per_op_costs,
     phase_summary,
     simulation_metrics,
     to_chrome_trace,
@@ -172,3 +174,52 @@ def test_empty_recorder_exports():
     assert chrome_trace_events(tr) == []
     assert transfer_segments(tr) == []
     assert phase_summary(tr).rows == []
+
+
+# ----------------------------------------------------------------------
+# per-op cost attribution (repro.obs.per_op_costs)
+# ----------------------------------------------------------------------
+def _op_costs(matrix, scheme, iterations, **kw):
+    cluster = westmere_cluster(1)
+    plan = build_halo_plan(matrix, partition_matrix(matrix, 2), with_matrices=False)
+    r = simulate_from_plan(
+        plan, cluster, mode="per-ld", scheme=scheme, iterations=iterations,
+        eager_threshold=EAGER, trace=True, **kw,
+    )
+    assert r.n_ranks == 2
+    return per_op_costs(r.trace)
+
+
+def _work_ops(scheme):
+    """The work op kinds of one sweep of *scheme*."""
+    return {op.kind for op, _inside in build_sweep(scheme).walk() if op.kind in WORK_OPS}
+
+
+@pytest.mark.parametrize("scheme", ["no_overlap", "naive_overlap", "task_mode"])
+def test_per_op_costs_single_sweep_keys_and_counts(hmep_tiny, scheme):
+    iterations = 3
+    agg = _op_costs(hmep_tiny, scheme, iterations)
+    # a single sweep keys on the un-suffixed program id, sweep 0
+    pid = f"{scheme}/plan/k1"  # the simulator replays a compiled comm plan
+    assert {(p, s) for p, s, _op in agg} == {(pid, 0)}
+    work = _work_ops(scheme)
+    assert work <= {op for _p, _s, op in agg}
+    for op in work:  # once per rank per iteration
+        assert agg[(pid, 0, op)]["count"] == 2 * iterations
+    if scheme == "task_mode":  # publish + join barrier
+        assert agg[(pid, 0, "OMP_BARRIER")]["count"] == 2 * 2 * iterations
+    else:
+        assert (pid, 0, "OMP_BARRIER") not in agg
+    assert all(cell["seconds"] >= 0.0 for cell in agg.values())
+    assert sum(agg[(pid, 0, op)]["seconds"] for op in work) > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["no_overlap", "task_mode"])
+def test_per_op_costs_chain_keys_every_sweep(hmep_tiny, scheme):
+    iterations = 2
+    agg = _op_costs(hmep_tiny, scheme, iterations, n_sweeps=3, pipeline=True)
+    pid = f"{scheme}/plan/k1/n3/pipe"
+    assert {(p, s) for p, s, _op in agg} == {(pid, s) for s in range(3)}
+    for s in range(3):
+        for op in _work_ops(scheme):
+            assert agg[(pid, s, op)]["count"] == 2 * iterations

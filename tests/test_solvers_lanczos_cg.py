@@ -186,3 +186,23 @@ def test_distributed_cg_node_aware_bit_identical(samg_tiny, rng):
     for (xc, itc), (xn, itn) in zip(classic, node_aware):
         assert itc == itn
         assert np.array_equal(xc, xn)
+
+
+def test_distributed_operator_counts_only_accepted_calls(samg_tiny, rng):
+    A = samg_tiny
+    plan = build_halo_plan(A, partition_matrix(A, 2))
+    x = rng.standard_normal(A.nrows)
+
+    def fn(comm, halo):
+        op = DistributedOperator(comm, halo, scheme="no_overlap")
+        with pytest.raises(ValueError):
+            op.matvec_chain(scatter_vector(x, plan.partition, comm.rank), -2)
+        with pytest.raises(ValueError):
+            op.matvec(np.zeros(halo.n_rows + 1))
+        rejected = dict(op.counters)
+        op.matvec(scatter_vector(x, plan.partition, comm.rank))
+        return rejected, dict(op.counters), len(halo.send_to)
+
+    for rejected, accepted, peers in run_spmd(2, fn, PerRank(plan.ranks)):
+        assert rejected == {"exchanges": 0, "messages": 0, "reductions": 0}
+        assert accepted == {"exchanges": 1, "messages": peers, "reductions": 0}
