@@ -96,9 +96,12 @@ def test_no_recorder_means_no_observer_on_the_router(problem):
 def test_thread_sanitizer_overhead_is_bounded(problem):
     # the thread-level twin of the recorder gate, on the scheme that
     # actually spawns threads (task mode): a sanitized clean run must
-    # stay within SANITIZER_OVERHEAD_MAX of the uninstrumented sweep
-    from repro.bench.suite import SANITIZER_OVERHEAD_MAX
+    # stay within the bench suite's sanitizer-overhead bound of the
+    # uninstrumented sweep
+    from repro.bench.suite import guard_bound
     from repro.check import ThreadSanitizer
+
+    overhead_max = guard_bound("sanitizer-overhead", "overhead_vs_plain")
 
     A, x = problem
 
@@ -128,9 +131,9 @@ def test_thread_sanitizer_overhead_is_bounded(problem):
     )
     # the sanitizer records a handful of events per sweep (op accesses +
     # spawn/join), not per message, so the 20% budget is generous
-    assert ratio < SANITIZER_OVERHEAD_MAX, (
+    assert ratio < overhead_max, (
         f"sanitizer overhead {ratio:.3f}x exceeds the "
-        f"{SANITIZER_OVERHEAD_MAX:.2f}x budget"
+        f"{overhead_max:.2f}x budget"
     )
 
 

@@ -14,16 +14,12 @@ from repro.bench.harness import (
 )
 from repro.bench.suite import (
     BLOCK_WIDTHS,
-    SANITIZER_OVERHEAD_MAX,
-    SERVE_WARM_SPEEDUP_MIN,
-    SOLVER_GUARD_MIN_ROWS,
-    SOLVER_SPEED_RATIO_MAX,
-    kernel_guard,
-    sanitizer_guard,
-    serve_guard,
-    solver_guard,
+    GUARD_MIN_ROWS,
+    GUARDS,
+    Guard,
+    check_guards,
+    guard_bound,
     spmvm_suite,
-    workload_guard,
 )
 
 __all__ = [
@@ -33,14 +29,10 @@ __all__ = [
     "time_callable",
     "write_results",
     "BLOCK_WIDTHS",
-    "SANITIZER_OVERHEAD_MAX",
-    "SERVE_WARM_SPEEDUP_MIN",
-    "SOLVER_GUARD_MIN_ROWS",
-    "SOLVER_SPEED_RATIO_MAX",
-    "kernel_guard",
-    "sanitizer_guard",
-    "serve_guard",
-    "solver_guard",
+    "GUARD_MIN_ROWS",
+    "GUARDS",
+    "Guard",
+    "check_guards",
+    "guard_bound",
     "spmvm_suite",
-    "workload_guard",
 ]

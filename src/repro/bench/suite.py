@@ -18,31 +18,28 @@ Three groups mirror the layers of the implementation:
   single-rank spmv hot path (asserted, not just reported);
 * ``serve`` — the build-once/serve-many contract (:mod:`repro.serve`):
   cold build-and-serve vs. warm requests against a persistent
-  :class:`~repro.serve.SolverService` (:func:`serve_guard` asserts the
-  warm path is at least :data:`SERVE_WARM_SPEEDUP_MIN` times faster),
-  plus coalesced-batch throughput with every response checked
-  bit-for-bit against the same service's independent per-request
-  answers;
+  :class:`~repro.serve.SolverService` (the warm path must be at least
+  5× faster), plus coalesced-batch throughput with every response
+  checked bit-for-bit against the same service's independent
+  per-request answers;
 * ``solver`` — the communication-avoiding CG contract
   (:func:`repro.solvers.sstep_cg` vs classic
   :func:`~repro.solvers.conjugate_gradient`, SPMD on a Poisson system):
   both must converge to the same solution, and the s-step variant must
   post strictly fewer communication operations per iteration — counted
-  deterministically from the operators' ``counters``, not timed
-  (:func:`solver_guard`); an interleaved wall-time ratio additionally
-  guards the latency-dominated small-matrix regime against the fused
-  path being slower where it should win;
+  deterministically from the operators' ``counters``, not timed; an
+  interleaved wall-time ratio additionally guards the latency-dominated
+  small-matrix regime against the fused path being slower where it
+  should win;
 * ``check`` — the opt-in observability tax: one task-mode
   ``distributed_spmv`` with a :class:`~repro.check.ThreadSanitizer`
-  attached vs. the same sweep uninstrumented, interleaved
-  (:func:`sanitizer_guard` asserts the instrumented run stays under
-  :data:`SANITIZER_OVERHEAD_MAX`, and the clean run must report zero
-  races before its timing counts);
+  attached vs. the same sweep uninstrumented, interleaved (the
+  instrumented run must stay within 1.2× and the clean run must report
+  zero races before its timing counts);
 * ``workload`` (full mode only) — the cluster-scale reference studies
   (:mod:`repro.experiments.workload`): FCFS vs EASY utilisation on the
   fat tree, random vs node-aware placement on the loaded torus, and the
-  solo-vs-co-running link-contention probe, each enforced by
-  :func:`workload_guard`.
+  solo-vs-co-running link-contention probe.
 
 Every result carries a ``gflops`` derived figure (2 flops per nonzero
 per right-hand side, from the minimum sample), and every block result a
@@ -51,19 +48,23 @@ block code-balance model ``6/k + 12/Nnzr + kappa/2``
 (``model_speedup``, :mod:`repro.model`) — the batching win shows up
 directly in ``BENCH_spmvm.json``.
 
-Block speedups are measured with an *interleaved* protocol
-(:func:`_paired_speedup`): spmv and spmm samples alternate in time, so
-a machine-wide slowdown mid-suite moves both sides of the ratio
-instead of faking a regression.  :func:`kernel_guard` then asserts the
-spmm-k1 speedup never drops below 1.0 and spmm-k4/k16 stay strictly
-above it — the regression this suite exists to catch, enforced on every
-CI bench-smoke run (skipped below :data:`KERNEL_GUARD_MIN_ROWS` rows,
-where the kernels are all dispatch overhead and the ratio is noise).
+Ratios of two timings are measured with one *interleaved* protocol
+(:func:`_interleaved`): reference and test samples alternate in time, so
+a machine-wide slowdown mid-suite moves both sides of the ratio instead
+of faking a regression.  Every bound the suite enforces is one row of
+:data:`GUARDS` — block spmm-k1 never below spmv per column and
+spmm-k4/k16 strictly above it (the regression this suite exists to
+catch), the warm-service, sanitizer, s-step CG and workload contracts —
+and :func:`check_guards` evaluates the whole table once per suite run,
+on every CI bench-smoke run.  Timing rows are skipped below
+:data:`GUARD_MIN_ROWS` rows, where the ratio is noise.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,86 +77,218 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "BLOCK_WIDTHS",
-    "KERNEL_GUARD_MIN_ROWS",
-    "SANITIZER_OVERHEAD_MAX",
-    "SERVE_WARM_SPEEDUP_MIN",
-    "SOLVER_GUARD_MIN_ROWS",
-    "SOLVER_SPEED_RATIO_MAX",
-    "kernel_guard",
-    "sanitizer_guard",
-    "serve_guard",
-    "solver_guard",
-    "workload_guard",
+    "GUARDS",
+    "GUARD_MIN_ROWS",
+    "Guard",
+    "check_guards",
+    "guard_bound",
     "spmvm_suite",
 ]
 
 #: Block widths exercised by the batched benchmarks.
 BLOCK_WIDTHS = (1, 4, 16)
 
-#: Smallest matrix on which :func:`kernel_guard` enforces block speedups.
-KERNEL_GUARD_MIN_ROWS = 2_000
+#: Smallest matrix on which a *timed* guard row is enforced.  Below it
+#: the kernels are all dispatch overhead, the one-time bookkeeping a
+#: warm service amortises is so cheap that thread spin-up dominates the
+#: cold side, and a sub-millisecond sweep puts thread spin-up jitter in
+#: any ratio: the figure sits at a fixed bound by noise alone, so it is
+#: reported, never gated.  Counted (deterministic) rows carry no gate.
+GUARD_MIN_ROWS = 2_000
 
-#: Minimum cold-build-and-serve / warm-request latency ratio
-#: (:func:`serve_guard`).  The whole point of the persistent service is
-#: amortising the one-time bookkeeping; if a warm request is not at
-#: least this much cheaper than a cold build-and-serve, the service
-#: stopped paying for itself.
-SERVE_WARM_SPEEDUP_MIN = 5.0
 
-#: Smallest matrix on which :func:`serve_guard` enforces the ratio.  On
-#: sub-guard matrices the one-time bookkeeping is so cheap that thread
-#: spin-up dominates the cold side and the ratio sits at the bound by
-#: noise alone — the same reasoning as :data:`KERNEL_GUARD_MIN_ROWS`.
-SERVE_GUARD_MIN_ROWS = 2_000
+class Guard(NamedTuple):
+    """One row of :data:`GUARDS`: ``derived[key] <op> bound + slack``.
 
-#: Maximum instrumented/uninstrumented wall-time ratio of a task-mode
-#: ``distributed_spmv`` sweep with a thread sanitizer attached
-#: (:func:`sanitizer_guard`).  The sanitizer is the always-affordable
-#: debugging tool; if attaching it costs more than 20% the
-#: instrumentation stopped being something you can leave on in tests.
-#: Enforced only at :data:`SANITIZER_GUARD_MIN_ROWS` and above: on tiny
-#: matrices the sweep is sub-millisecond and thread spin-up jitter can
-#: push even a zero-cost hook past any fixed bound — the same no-flake
-#: policy as :data:`KERNEL_GUARD_MIN_ROWS`/:data:`SERVE_GUARD_MIN_ROWS`.
-SANITIZER_OVERHEAD_MAX = 1.20
-SANITIZER_GUARD_MIN_ROWS = 2_000
+    *bound* is a constant or the name of another derived key of the same
+    result.  The row applies only to results measured on at least
+    *min_rows* rows; a missing key fails it.  *reason* says what a
+    violation means and is part of the failure message.
+    """
 
-#: Maximum s-step/classic CG wall-time ratio on the latency-dominated
-#: small-matrix configuration (:func:`solver_guard`).  The margin is
-#: generous — in-process mpilite has no wire latency, so most of the
-#: fused-collective win cannot show up here; the ratio only guards
-#: against the restructured solver being outright slower.  The message
-#: economics are guarded separately on *counted* communication, which is
-#: deterministic.
-SOLVER_SPEED_RATIO_MAX = 1.25
+    result: str
+    key: str
+    op: str
+    bound: float | str
+    min_rows: int
+    reason: str
+    slack: float = 0.0
 
-#: Smallest system on which :func:`solver_guard` enforces the wall-time
-#: ratio (same no-flake policy as :data:`KERNEL_GUARD_MIN_ROWS`; the
-#: counted-communication assertions are enforced at every size).
-SOLVER_GUARD_MIN_ROWS = 2_000
+    def __str__(self) -> str:
+        slack = f" + {self.slack:g}" if self.slack else ""
+        gate = f" (at >= {self.min_rows} rows)" if self.min_rows else ""
+        return f"{self.result}: {self.key} {self.op} {self.bound}{slack}{gate}"
+
+
+_OPS = {
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+}
+
+#: Every bound ``repro bench`` enforces, evaluated by :func:`check_guards`.
+GUARDS: tuple[Guard, ...] = (
+    # Block spmm vs k separate spmv calls, per column.  k = 1 must reach
+    # parity (the degenerate batch is never a regression); k > 1 must
+    # beat it strictly — batching must amortise the matrix stream, the
+    # inversion the old (nnz, k) broadcast kernel caused.
+    *(
+        Guard(
+            f"spmm-k{k}", "speedup_vs_spmv", ">=" if k == 1 else ">", 1.0,
+            GUARD_MIN_ROWS,
+            "the block kernel is slower per column than k separate spmv "
+            "calls — the regression the fused spmm kernel exists to prevent",
+        )
+        for k in BLOCK_WIDTHS
+    ),
+    # Sweep-interpreter indirection relative to the single-rank spmv hot
+    # path; measured on fixed matrices, so no size gate.
+    Guard(
+        "program-overhead", "overhead_vs_hot_path", "<", 0.05, 0,
+        "the interpreter grew a per-op cost the IR refactor promised not to add",
+    ),
+    # The whole point of the persistent service is amortising the
+    # one-time bookkeeping; if a warm request is not at least this much
+    # cheaper than a cold build-and-serve, the service stopped paying
+    # for itself.
+    Guard(
+        "serve-warm", "warm_speedup_vs_cold", ">=", 5.0, GUARD_MIN_ROWS,
+        "a warm request should amortise away the one-time build cost — "
+        "the service is rebuilding state it was meant to keep",
+    ),
+    # The coalesced bench raises before producing a result unless every
+    # response was bit-identical, so here the marker must be present.
+    Guard(
+        "serve-coalesced", "bit_identical", "==", 1.0, GUARD_MIN_ROWS,
+        "the coalesced path was benchmarked without its bit-identity check",
+    ),
+    # The sanitizer is the always-affordable debugging tool; if attaching
+    # it costs more than 20% the instrumentation stopped being something
+    # you can leave on in tests.
+    Guard(
+        "sanitizer-overhead", "overhead_vs_plain", "<=", 1.20, GUARD_MIN_ROWS,
+        "the per-event bookkeeping grew beyond what an always-on sanitizer "
+        "may charge",
+    ),
+    # s-step CG economics: counted communication, deterministic, so
+    # enforced at every size.  The bench raises before producing a result
+    # unless both solvers converged to the same solution.
+    Guard(
+        "solver-cg-sstep", "solutions_match", "==", 1.0, 0,
+        "the s-step path was benchmarked without being verified",
+    ),
+    Guard(
+        "solver-cg-sstep", "reductions_per_iteration", "<",
+        "classic_reductions_per_iteration", 0,
+        "the fused collective stopped fusing",
+    ),
+    Guard(
+        "solver-cg-sstep", "messages_per_iteration", "<=",
+        "classic_messages_per_iteration", 0,
+        "the matrix-powers chain grew extra exchanges", slack=1e-9,
+    ),
+    Guard(
+        "solver-cg-sstep", "comm_posts_per_iteration", "<",
+        "classic_comm_posts_per_iteration", 0,
+        "the communication-avoiding variant stopped avoiding communication",
+    ),
+    # The wall-time margin is generous: in-process mpilite has no wire
+    # latency, so most of the fused-collective win cannot show up here;
+    # the ratio only guards against the restructured solver being
+    # outright slower on the latency-dominated configuration.
+    Guard(
+        "solver-cg-sstep", "time_ratio_vs_classic", "<=", 1.25, GUARD_MIN_ROWS,
+        "the pipelined path must never lose outright",
+    ),
+    # Workload reference-trace properties: simulated, deterministic.
+    # Scheduling runs on the fat tree, where runtimes are
+    # policy-independent, so utilisation differences are pure packing.
+    Guard(
+        "workload-scheduling", "util_easy", ">", "util_fcfs", 0,
+        "backfilling stopped filling the head-of-line blocking window",
+    ),
+    Guard(
+        "workload-placement", "wire_bytes_node_aware", "<=", "wire_bytes_random", 0,
+        "compact allocations must never increase hop-weighted inter-node traffic",
+    ),
+    Guard(
+        "workload-placement", "p99_node_aware", "<", "p99_random", 0,
+        "the topology knowledge stopped paying for itself",
+    ),
+    Guard(
+        "workload-contention", "bw_shared_max", "<", "bw_alone", 0,
+        "jobs are no longer sharing the torus link pool",
+    ),
+)
+
+
+def guard_bound(result: str, key: str) -> float | str:
+    """The bound of the :data:`GUARDS` row checking *key* on *result*."""
+    (bound,) = [g.bound for g in GUARDS if (g.result, g.key) == (result, key)]
+    return bound
+
+
+def check_guards(results: list[BenchResult]) -> list[tuple[Guard, str]]:
+    """Evaluate every :data:`GUARDS` row against *results*.
+
+    Returns ``(row, status)`` in table order, *status* being
+    ``"enforced"``, ``"skipped"`` (the result is below the row's
+    ``min_rows``) or ``"absent"`` (no result of that name, e.g. the
+    workload group in quick mode).  Raises :class:`AssertionError`
+    naming the result and the row's reason on the first violated row.
+    """
+    by_name = {r.name: r for r in results}
+    report = []
+    for g in GUARDS:
+        r = by_name.get(g.result)
+        if r is None:
+            report.append((g, "absent"))
+            continue
+        if r.params.get("nrows", 0) < g.min_rows:
+            report.append((g, "skipped"))
+            continue
+        value = r.derived.get(g.key)
+        bound = r.derived.get(g.bound) if isinstance(g.bound, str) else g.bound
+        if value is None or bound is None:
+            missing = g.key if value is None else g.bound
+            raise AssertionError(
+                f"{g.result}: derived figure {missing!r} is missing; {g.reason}"
+            )
+        if not _OPS[g.op](value, bound + g.slack):
+            against = f", {g.bound} is {bound:.4g}" if isinstance(g.bound, str) else ""
+            raise AssertionError(
+                f"{g} failed: {g.key} is {value:.4g}{against}; {g.reason}"
+            )
+        report.append((g, "enforced"))
+    return report
 
 
 def _gflops(nnz: int, k: int, seconds: float) -> float:
     return 2.0 * nnz * k / seconds / 1e9
 
 
-def _paired_speedup(
-    ref_fn, test_fn, k: int, *, warmup: int, rounds: int, trials: int = 3
+#: A per-column block speedup comfortably above break-even: kernel
+#: benches stop sampling once a trial reaches it (``stop_at=k / ...``).
+_SPEEDUP_STOP = 1.10
+
+
+def _interleaved(
+    ref_fn, test_fn, *, warmup: int, rounds: int, stop_at: float = 1.05
 ) -> tuple[float, TimingStats, TimingStats]:
-    """Per-column speedup of *test_fn* (k columns) over *ref_fn* (one).
+    """Best-of-trials ``min(test) / min(ref)`` wall-time ratio.
 
     Samples alternate ref/test within each round, so both sides of the
     ratio see the same machine state — a throttling event or a noisy
     neighbour shifts numerator and denominator together instead of
-    producing a phantom slowdown.  The ratio of per-side minima is taken
-    per trial and the best of up to *trials* trials wins (stopping early
-    once comfortably above break-even): a lower-bound estimator for a
-    lower-bound guard.
+    producing a phantom regression.  The ratio of per-side minima is
+    taken per trial and the lowest of up to three trials wins, stopping
+    early once it is at or below *stop_at*: a lower-bound estimator of
+    the test side's cost, the one both lower-bound speedup guards and
+    upper-bound overhead guards want.
 
-    Returns ``(speedup, ref_stats, test_stats)`` of the best trial.
+    Returns ``(ratio, ref_stats, test_stats)`` of the best trial.
     """
     best = None
-    for _ in range(max(trials, 1)):
+    for _ in range(3):
         for _ in range(max(warmup, 1)):
             ref_fn()
             test_fn()
@@ -168,13 +301,13 @@ def _paired_speedup(
             test_fn()
             test_s.append(time.perf_counter() - t0)
         trial = (
-            k * min(ref_s) / min(test_s),
+            min(test_s) / min(ref_s),
             TimingStats(tuple(ref_s)),
             TimingStats(tuple(test_s)),
         )
-        if best is None or trial[0] > best[0]:
+        if best is None or trial[0] < best[0]:
             best = trial
-        if best[0] >= 1.10:
+        if best[0] <= stop_at:
             break
     return best
 
@@ -212,11 +345,11 @@ def _kernel_benches(
     for k in BLOCK_WIDTHS:
         X = rng.standard_normal((A.ncols, k))
         Y = np.empty((A.nrows, k))
-        speedup, _ref, stats = _paired_speedup(
-            lambda: spmv(A, x),
-            lambda: spmm(A, X, out=Y),
-            k, warmup=warmup, rounds=rounds,
+        _, ref, stats = _interleaved(
+            lambda: spmv(A, x), lambda: spmm(A, X, out=Y),
+            warmup=warmup, rounds=rounds, stop_at=k / _SPEEDUP_STOP,
         )
+        speedup = k * ref.min / stats.min
         results.append(
             BenchResult(
                 name=f"spmm-k{k}", group="kernel", warmup=warmup, repeat=rounds,
@@ -278,11 +411,11 @@ def _registry_benches(
         if pad is not None:
             base["pad_factor"] = pad
         y = np.empty(A.nrows)
-        speedup, _ref, stats = _paired_speedup(
-            lambda: spmv(A, x),
-            lambda: spec.spmv(op, x, out=y),
-            1, warmup=warmup, rounds=rounds,
+        _, ref, stats = _interleaved(
+            lambda: spmv(A, x), lambda: spec.spmv(op, x, out=y),
+            warmup=warmup, rounds=rounds, stop_at=1 / _SPEEDUP_STOP,
         )
+        speedup = ref.min / stats.min
         results.append(
             BenchResult(
                 name=f"{spec.format}-spmv", group="kernel",
@@ -296,11 +429,11 @@ def _registry_benches(
         for k in BLOCK_WIDTHS[1:]:
             X = rng.standard_normal((A.ncols, k))
             Y = np.empty((A.nrows, k))
-            speedup, _ref, stats = _paired_speedup(
-                lambda: spmv(A, x),
-                lambda: spec.spmm(op, X, out=Y),
-                k, warmup=warmup, rounds=rounds,
+            _, ref, stats = _interleaved(
+                lambda: spmv(A, x), lambda: spec.spmm(op, X, out=Y),
+                warmup=warmup, rounds=rounds, stop_at=k / _SPEEDUP_STOP,
             )
+            speedup = k * ref.min / stats.min
             results.append(
                 BenchResult(
                     name=f"{spec.format}-spmm-k{k}", group="kernel",
@@ -314,37 +447,6 @@ def _registry_benches(
                 )
             )
     return results
-
-
-def kernel_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the block-kernel speedups that PR 6 fixed never regress.
-
-    For every ``spmm-k*`` result measured on at least
-    :data:`KERNEL_GUARD_MIN_ROWS` rows: k = 1 must reach per-column
-    parity with spmv (``>= 1.0`` — the degenerate batch is never a
-    regression) and k > 1 must beat it strictly (``> 1.0`` — batching
-    must amortise the matrix stream, the inversion the old ``(nnz, k)``
-    broadcast kernel caused).  Returns the names it enforced; raises
-    :class:`AssertionError` on violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "kernel" or not r.name.startswith("spmm-k"):
-            continue
-        if r.params.get("nrows", 0) < KERNEL_GUARD_MIN_ROWS:
-            continue
-        k = r.params["k"]
-        speedup = r.derived["speedup_vs_spmv"]
-        if (speedup < 1.0) if k == 1 else (speedup <= 1.0):
-            bound = ">= 1.0" if k == 1 else "> 1.0"
-            raise AssertionError(
-                f"{r.name}: per-column speedup_vs_spmv is {speedup:.3f} "
-                f"(guard: {bound}); the block kernel is slower per column "
-                f"than k separate spmv calls — the regression the fused "
-                f"spmm kernel exists to prevent"
-            )
-        enforced.append(r.name)
-    return enforced
 
 
 def _distributed_benches(
@@ -458,9 +560,9 @@ def _program_overhead_bench(
     memory-traffic noise, so it is measured where it is visible — a
     single-rank engine on a tiny matrix, interpreter vs. the same
     arithmetic hand-inlined — and reported relative to a hot-path spmv
-    at the quick bench size.  The guard asserts the ratio stays below
-    ``GUARD``; a regression here means the interpreter grew a per-op
-    cost it must not have.
+    at the quick bench size.  Its :data:`GUARDS` row asserts the ratio
+    stays below 5%; a regression here means the interpreter grew a
+    per-op cost it must not have.
     """
     from repro.core.halo import cached_halo_plan
     from repro.core.spmvm import DistributedSpMVM
@@ -468,7 +570,6 @@ def _program_overhead_bench(
     from repro.mpilite.router import Router
     from repro.sparse.spmv import spmv_add
 
-    GUARD = 0.05
     tiny = random_sparse(64, nnzr=5.0, seed=11, ensure_diagonal=True)
     thalo = cached_halo_plan(tiny, 1, with_matrices=True).ranks[0]
     tengine = DistributedSpMVM(Comm(0, Router(1), CollectiveState(1)), thalo)
@@ -495,12 +596,6 @@ def _program_overhead_bench(
         lambda: hengine.multiply(hx, "no_overlap"), warmup=max(warmup, 1), repeat=max(repeat, 5)
     )
     ratio = indirection / hot_stats.min
-    if ratio >= GUARD:
-        raise AssertionError(
-            f"sweep-interpreter indirection is {ratio:.1%} of the single-rank "
-            f"spmv hot path (guard: < {GUARD:.0%}); the interpreter grew a "
-            f"per-op cost the IR refactor promised not to add"
-        )
     return [
         BenchResult(
             name="program-overhead", group="program",
@@ -514,7 +609,7 @@ def _program_overhead_bench(
                 "indirection_seconds": indirection,
                 "hot_path_seconds": hot_stats.min,
                 "overhead_vs_hot_path": ratio,
-                "guard_max": GUARD,
+                "guard_max": guard_bound("program-overhead", "overhead_vs_hot_path"),
             },
         )
     ]
@@ -576,7 +671,7 @@ def _serve_benches(
                 derived={
                     "gflops": _gflops(A.nnz, 1, warm_stats.min),
                     "warm_speedup_vs_cold": warm_speedup,
-                    "guard_min": SERVE_WARM_SPEEDUP_MIN,
+                    "guard_min": guard_bound("serve-warm", "warm_speedup_vs_cold"),
                 },
             )
         )
@@ -622,23 +717,22 @@ def _sanitizer_benches(
     rng: np.random.Generator,
     *,
     nranks: int,
-    scheme: str,
     warmup: int,
     repeat: int,
 ) -> list[BenchResult]:
     """The check group: thread-sanitizer overhead on a task-mode sweep.
 
-    Interleaved like :func:`_paired_speedup` — plain and instrumented
-    sweeps alternate within each round so machine noise moves both
-    sides of the ratio — but taking the *lowest* ratio of up to three
-    trials (a lower-bound estimator for an upper-bound guard, stopping
-    early once comfortably under the bound).  Every instrumented sweep
-    runs a fresh :class:`~repro.check.ThreadSanitizer` (thread idents
-    are recycled across joins), and a single reported race fails the
-    bench outright: a racy sweep's timing is not an overhead figure.
+    Always task mode, whatever the suite's ``scheme``: it is the scheme
+    whose comm thread the sanitizer's spawn/join edges instrument, so
+    the overhead bound is defined on it.  Plain and instrumented sweeps
+    are sampled by :func:`_interleaved`.  Every instrumented sweep runs
+    a fresh :class:`~repro.check.ThreadSanitizer` (thread idents are
+    recycled across joins), and a single reported race fails the bench
+    outright: a racy sweep's timing is not an overhead figure.
     """
     from repro.check.threads import ThreadSanitizer
 
+    scheme = "task_mode"
     x = rng.standard_normal(A.ncols)
     sanitizers: list[ThreadSanitizer] = []
 
@@ -651,28 +745,9 @@ def _sanitizer_benches(
         distributed_spmv(A, x, nranks, scheme=scheme, sanitizer=san)
 
     rounds = max(repeat, 5)
-    best = None
-    for _ in range(3):
-        for _ in range(max(warmup, 1)):
-            plain()
-            instrumented()
-        plain_s, instr_s = [], []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            plain()
-            plain_s.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            instrumented()
-            instr_s.append(time.perf_counter() - t0)
-        trial = (
-            min(instr_s) / min(plain_s),
-            TimingStats(tuple(plain_s)),
-            TimingStats(tuple(instr_s)),
-        )
-        if best is None or trial[0] < best[0]:
-            best = trial
-        if best[0] <= 1.05:
-            break
+    overhead, plain_stats, instr_stats = _interleaved(
+        plain, instrumented, warmup=warmup, rounds=rounds
+    )
     races = [f for san in sanitizers for f in san.findings]
     if races:
         raise AssertionError(
@@ -680,7 +755,6 @@ def _sanitizer_benches(
             f"{len(races)} thread-race finding(s) — first: "
             f"{races[0].describe()}; refusing to report overhead of a racy run"
         )
-    overhead, plain_stats, instr_stats = best
     return [
         BenchResult(
             name="sanitizer-overhead", group="check",
@@ -691,38 +765,10 @@ def _sanitizer_benches(
                 "plain_seconds": plain_stats.min,
                 "overhead_vs_plain": overhead,
                 "events_observed": float(sum(s.events_observed for s in sanitizers)),
-                "guard_max": SANITIZER_OVERHEAD_MAX,
+                "guard_max": guard_bound("sanitizer-overhead", "overhead_vs_plain"),
             },
         )
     ]
-
-
-def sanitizer_guard(results: list[BenchResult]) -> list[str]:
-    """Assert attaching the thread sanitizer stays affordable.
-
-    The ``sanitizer-overhead`` result's instrumented/plain ratio must
-    not exceed :data:`SANITIZER_OVERHEAD_MAX` — the contract that the
-    sanitizer remains cheap enough to leave on in every test and CI
-    check run.  Enforced only at :data:`SANITIZER_GUARD_MIN_ROWS` rows
-    and above (sub-guard sweeps are reported, never gated).  Returns
-    the names enforced; raises :class:`AssertionError` on violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "check" or r.name != "sanitizer-overhead":
-            continue
-        if r.params.get("nrows", 0) < SANITIZER_GUARD_MIN_ROWS:
-            continue
-        overhead = r.derived["overhead_vs_plain"]
-        if overhead > SANITIZER_OVERHEAD_MAX:
-            raise AssertionError(
-                f"sanitizer-overhead: instrumented task-mode sweep costs "
-                f"{overhead:.3f}x the plain sweep (guard: <= "
-                f"{SANITIZER_OVERHEAD_MAX}); the per-event bookkeeping grew "
-                f"beyond what an always-on sanitizer may charge"
-            )
-        enforced.append(r.name)
-    return enforced
 
 
 def _solver_benches(
@@ -801,29 +847,9 @@ def _solver_benches(
     eco_classic, eco_sstep = economics(classic), economics(sstep)
 
     rounds = max(repeat, 3)
-    best = None
-    for _ in range(3):
-        for _ in range(max(warmup, 1)):
-            solve("classic")
-            solve("sstep")
-        classic_s, sstep_s = [], []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            solve("classic")
-            classic_s.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            solve("sstep")
-            sstep_s.append(time.perf_counter() - t0)
-        trial = (
-            min(sstep_s) / min(classic_s),
-            TimingStats(tuple(classic_s)),
-            TimingStats(tuple(sstep_s)),
-        )
-        if best is None or trial[0] < best[0]:
-            best = trial
-        if best[0] <= 1.05:
-            break
-    ratio, classic_stats, sstep_stats = best
+    ratio, classic_stats, sstep_stats = _interleaved(
+        lambda: solve("classic"), lambda: solve("sstep"), warmup=warmup, rounds=rounds
+    )
     return [
         BenchResult(
             name="solver-cg-classic", group="solver",
@@ -847,68 +873,10 @@ def _solver_benches(
                 "classic_iterations": eco_classic["iterations"],
                 "time_ratio_vs_classic": ratio,
                 "solutions_match": 1.0,
-                "guard_ratio_max": SOLVER_SPEED_RATIO_MAX,
+                "guard_ratio_max": guard_bound("solver-cg-sstep", "time_ratio_vs_classic"),
             },
         ),
     ]
-
-
-def solver_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the communication-avoiding CG actually avoids communication.
-
-    On the ``solver-cg-sstep`` result: strictly fewer collective
-    reductions per iteration than classic CG, no more point-to-point
-    halo messages per iteration, strictly fewer total communication
-    posts per iteration, and the solutions-match marker present (the
-    bench raises before producing a result otherwise).  These are
-    counted quantities — deterministic, so violations are real.  The
-    interleaved wall-time ratio must additionally stay under
-    :data:`SOLVER_SPEED_RATIO_MAX` at :data:`SOLVER_GUARD_MIN_ROWS` rows
-    and above.  Returns the names enforced; raises
-    :class:`AssertionError` on violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "solver" or r.name != "solver-cg-sstep":
-            continue
-        d = r.derived
-        if d.get("solutions_match") != 1.0:
-            raise AssertionError(
-                "solver-cg-sstep: missing the solutions-match marker; the "
-                "s-step path was benchmarked without being verified"
-            )
-        if d["reductions_per_iteration"] >= d["classic_reductions_per_iteration"]:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['reductions_per_iteration']:.3f} "
-                f"reductions/iteration is not strictly below classic CG's "
-                f"{d['classic_reductions_per_iteration']:.3f}; the fused "
-                f"collective stopped fusing"
-            )
-        if d["messages_per_iteration"] > d["classic_messages_per_iteration"] + 1e-9:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['messages_per_iteration']:.3f} halo "
-                f"messages/iteration exceeds classic CG's "
-                f"{d['classic_messages_per_iteration']:.3f}; the matrix-powers "
-                f"chain grew extra exchanges"
-            )
-        if d["comm_posts_per_iteration"] >= d["classic_comm_posts_per_iteration"]:
-            raise AssertionError(
-                f"solver-cg-sstep: {d['comm_posts_per_iteration']:.3f} "
-                f"communication posts/iteration is not strictly below classic "
-                f"CG's {d['classic_comm_posts_per_iteration']:.3f} — the "
-                f"communication-avoiding variant stopped avoiding communication"
-            )
-        if r.params.get("nrows", 0) >= SOLVER_GUARD_MIN_ROWS:
-            ratio = d["time_ratio_vs_classic"]
-            if ratio > SOLVER_SPEED_RATIO_MAX:
-                raise AssertionError(
-                    f"solver-cg-sstep: wall time is {ratio:.3f}x classic CG "
-                    f"(guard: <= {SOLVER_SPEED_RATIO_MAX}) on the "
-                    f"latency-dominated configuration; the pipelined path "
-                    f"must never lose outright"
-                )
-        enforced.append(r.name)
-    return enforced
 
 
 def _workload_benches() -> list[BenchResult]:
@@ -999,100 +967,6 @@ def _workload_benches() -> list[BenchResult]:
     return results
 
 
-def workload_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the workload subsystem's reference-trace properties.
-
-    EASY backfilling must achieve strictly higher utilisation than FCFS
-    on the fat tree (where runtimes are policy-independent); node-aware
-    placement must never move more hop-weighted interconnect bytes than
-    random and must beat it on p99 response latency on the loaded
-    torus; and a job co-running with a communication-heavy twin must
-    observe strictly lower effective bandwidth than the same job alone.
-    Returns the names enforced; raises :class:`AssertionError` on
-    violation.  No-op when the workload group was skipped (quick mode).
-    """
-    enforced = []
-    for r in results:
-        if r.group != "workload":
-            continue
-        if r.name == "workload-scheduling":
-            u_f, u_e = r.derived["util_fcfs"], r.derived["util_easy"]
-            if u_e <= u_f:
-                raise AssertionError(
-                    f"workload-scheduling: EASY utilisation {u_e:.4f} does not "
-                    f"beat FCFS {u_f:.4f} on the reference trace; backfilling "
-                    f"stopped filling the head-of-line blocking window"
-                )
-            enforced.append(r.name)
-        elif r.name == "workload-placement":
-            b_r = r.derived["wire_bytes_random"]
-            b_a = r.derived["wire_bytes_node_aware"]
-            if b_a > b_r:
-                raise AssertionError(
-                    f"workload-placement: node-aware moved {b_a:.3e} B over the "
-                    f"wire vs random's {b_r:.3e} B; compact allocations must "
-                    f"never increase hop-weighted inter-node traffic"
-                )
-            p_r = r.derived["p99_random"]
-            p_a = r.derived["p99_node_aware"]
-            if p_a >= p_r:
-                raise AssertionError(
-                    f"workload-placement: node-aware p99 latency {p_a:.3e} s is "
-                    f"not below random's {p_r:.3e} s on the loaded torus; the "
-                    f"topology knowledge stopped paying for itself"
-                )
-            enforced.append(r.name)
-        elif r.name == "workload-contention":
-            solo = r.derived["bw_alone"]
-            worst = r.derived["bw_shared_max"]
-            if worst >= solo:
-                raise AssertionError(
-                    f"workload-contention: a co-running job saw "
-                    f"{worst:.3e} B/s, not below the solo {solo:.3e} B/s; "
-                    f"jobs are no longer sharing the torus link pool"
-                )
-            enforced.append(r.name)
-    return enforced
-
-
-def serve_guard(results: list[BenchResult]) -> list[str]:
-    """Assert the build-once/serve-many contract holds.
-
-    A warm request against the persistent service must be at least
-    :data:`SERVE_WARM_SPEEDUP_MIN` times faster than a cold
-    build-and-serve, and the coalesced bench must have proven
-    bit-identity (it raises before producing a result otherwise, so
-    here it is checked as presence of the marker).  Sub-guard matrices
-    (:data:`SERVE_GUARD_MIN_ROWS`) are reported but not enforced.
-    Returns the names enforced; raises :class:`AssertionError` on
-    violation.
-    """
-    enforced = []
-    for r in results:
-        if r.group != "serve":
-            continue
-        if r.params.get("nrows", 0) < SERVE_GUARD_MIN_ROWS:
-            continue
-        if r.name == "serve-warm":
-            speedup = r.derived["warm_speedup_vs_cold"]
-            if speedup < SERVE_WARM_SPEEDUP_MIN:
-                raise AssertionError(
-                    f"serve-warm: warm_speedup_vs_cold is {speedup:.2f} "
-                    f"(guard: >= {SERVE_WARM_SPEEDUP_MIN}); a warm request "
-                    f"should amortise away the one-time build cost — the "
-                    f"service is rebuilding state it was meant to keep"
-                )
-            enforced.append(r.name)
-        elif r.name == "serve-coalesced":
-            if r.derived.get("bit_identical") != 1.0:
-                raise AssertionError(
-                    "serve-coalesced: missing the bit-identity marker; the "
-                    "coalesced path was benchmarked without being verified"
-                )
-            enforced.append(r.name)
-    return enforced
-
-
 def spmvm_suite(
     *,
     quick: bool = False,
@@ -1110,7 +984,9 @@ def spmvm_suite(
     to keep runtimes trivial).  ``workload`` adds the reference-trace
     workload studies (~30 s of simulation, policy-guarded); it defaults
     to ``not quick`` — quick/CI runs get the same assertions from the
-    dedicated ``repro workload --smoke`` gate instead.
+    dedicated ``repro workload --smoke`` gate instead.  Raises
+    :class:`AssertionError` if any :data:`GUARDS` row is violated
+    (:func:`check_guards`).
     """
     if nrows is None:
         nrows = 4_000 if quick else 40_000
@@ -1127,9 +1003,7 @@ def spmvm_suite(
     results += _serve_benches(
         A, rng, nranks=nranks, scheme=scheme, warmup=warmup, repeat=repeat
     )
-    results += _sanitizer_benches(
-        A, rng, nranks=nranks, scheme=scheme, warmup=warmup, repeat=repeat
-    )
+    results += _sanitizer_benches(A, rng, nranks=nranks, warmup=warmup, repeat=repeat)
     results += _solver_benches(
         rng, nranks=nranks, quick=quick, warmup=warmup, repeat=repeat
     )
@@ -1137,9 +1011,5 @@ def spmvm_suite(
         workload = not quick
     if workload:
         results += _workload_benches()
-    kernel_guard(results)
-    serve_guard(results)
-    sanitizer_guard(results)
-    solver_guard(results)
-    workload_guard(results)
+    check_guards(results)
     return results

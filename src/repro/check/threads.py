@@ -49,8 +49,9 @@ run/session (mirroring the fresh-:class:`~repro.check.recorder.CommRecorder`
 Like :class:`~repro.check.recorder.CommRecorder`, the sanitizer is
 strictly opt-in: every instrumentation site in the interpreter, engine
 and service sits behind an ``is not None`` check, so uninstrumented
-runs pay nothing (:func:`repro.bench.suite.sanitizer_guard` holds the
-*instrumented* overhead under 20% on the task-mode sweep).
+runs pay nothing (the ``sanitizer-overhead`` row of
+:data:`repro.bench.suite.GUARDS` holds the *instrumented* overhead
+within 20% on the task-mode sweep).
 """
 
 from __future__ import annotations

@@ -257,11 +257,15 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the spMVM benchmark suite and write BENCH_spmvm.json."""
-    from repro.bench import spmvm_suite, write_results
+    from repro.bench import check_guards, spmvm_suite, write_results
 
     results = spmvm_suite(quick=args.quick, scheme=args.scheme, seed=args.seed)
     for r in results:
         print(r.describe())
+    print()
+    # the suite already raised on any violation; this says which rows ran
+    for guard, status in check_guards(results):
+        print(f"guard {guard}: {status}")
     write_results(results, args.output, quick=args.quick)
     print(f"\n{len(results)} results written to {args.output}")
     return 0

@@ -9,8 +9,9 @@ actually isolate it:
    utilisation differences are purely packing differences — the quantity
    a scheduler controls.  On the reference trace EASY backfills the
    short narrow jobs into the nodes the head-blocked wide job cannot
-   use, and its utilisation is strictly higher (asserted by
-   ``workload_guard`` and the CLI smoke mode).
+   use, and its utilisation is strictly higher (asserted by the CLI
+   smoke mode, :func:`smoke_checks`, and by the ``workload-scheduling``
+   row of the bench suite's :data:`repro.bench.suite.GUARDS` table).
 2. **Placement** (first-fit vs random vs node-aware) is compared on the
    Cray *torus* under heavy background load
    (:data:`PLACEMENT_BACKGROUND_LOAD`): torus demand is bytes × hops on
@@ -178,9 +179,10 @@ class WorkloadStudy:
 def smoke_checks(study: WorkloadStudy) -> list[tuple[str, bool, str]]:
     """The subsystem's acceptance checks as ``(name, passed, detail)`` rows.
 
-    Shared by ``repro workload --smoke`` (CI gate), the bench suite's
-    ``workload_guard``, and the test suite, so all three assert the same
-    properties on the same reference configurations.
+    Used by ``repro workload --smoke`` (CI gate).  The bench suite
+    asserts the same four properties on the same reference
+    configurations as the ``workload-*`` rows of its
+    :data:`repro.bench.suite.GUARDS` table.
     """
     checks: list[tuple[str, bool, str]] = []
 

@@ -1,6 +1,7 @@
 """The benchmark harness, the spMVM suite, and the repro-bench/1 schema."""
 
 import json
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.bench import (
     time_callable,
     write_results,
 )
-from repro.bench.suite import KERNEL_GUARD_MIN_ROWS, kernel_guard
+from repro.bench.suite import GUARD_MIN_ROWS, GUARDS, check_guards, guard_bound
 from repro.cli import main
 
 EXPECTED_NAMES = {
@@ -118,6 +119,12 @@ def test_registry_kernels_benched_with_metadata(tiny_suite):
         assert r.params["pad_factor"] >= 1.0
 
 
+def _enforced(results, prefix=""):
+    """Names of the results whose guard rows were enforced, in table order."""
+    names = [g.result for g, status in check_guards(results) if status == "enforced"]
+    return [n for n in dict.fromkeys(names) if n.startswith(prefix)]
+
+
 def _guard_result(name, k, nrows, speedup):
     return BenchResult(
         name=name, group="kernel", warmup=1, repeat=3,
@@ -133,20 +140,20 @@ def test_kernel_guard_enforces_block_speedups():
         _guard_result("spmm-k4", 4, 4000, 1.2),
         _guard_result("spmm-k16", 16, 4000, 1.4),
     ]
-    assert kernel_guard(ok) == ["spmm-k1", "spmm-k4", "spmm-k16"]
+    assert _enforced(ok) == ["spmm-k1", "spmm-k4", "spmm-k16"]
     with pytest.raises(AssertionError, match="spmm-k4"):
-        kernel_guard([_guard_result("spmm-k4", 4, 4000, 0.9)])
+        check_guards([_guard_result("spmm-k4", 4, 4000, 0.9)])
     # k > 1 must beat spmv strictly; exact parity means no batching win
     with pytest.raises(AssertionError, match="spmm-k16"):
-        kernel_guard([_guard_result("spmm-k16", 16, 4000, 1.0)])
+        check_guards([_guard_result("spmm-k16", 16, 4000, 1.0)])
     # the degenerate batch may tie but not lose
     with pytest.raises(AssertionError, match="spmm-k1"):
-        kernel_guard([_guard_result("spmm-k1", 1, 4000, 0.99)])
+        check_guards([_guard_result("spmm-k1", 1, 4000, 0.99)])
 
 
 def test_kernel_guard_skips_noise_dominated_sizes():
-    tiny = _guard_result("spmm-k4", 4, KERNEL_GUARD_MIN_ROWS - 1, 0.5)
-    assert kernel_guard([tiny]) == []
+    tiny = _guard_result("spmm-k4", 4, GUARD_MIN_ROWS - 1, 0.5)
+    assert _enforced([tiny]) == []
     # ...which is why the tiny test suite (300 rows) cannot flake on it
 
 
@@ -154,7 +161,7 @@ def test_tiny_suite_below_guard_threshold(tiny_suite):
     # the module fixture runs at 300 rows: the guard must have been a
     # no-op there, or CI test runs would inherit timing flakiness
     kernel_nrows = {r.params["nrows"] for r in tiny_suite if r.group == "kernel"}
-    assert max(kernel_nrows) < KERNEL_GUARD_MIN_ROWS
+    assert max(kernel_nrows) < GUARD_MIN_ROWS
 
 
 def test_program_overhead_guard(tiny_suite):
@@ -168,21 +175,19 @@ def test_program_overhead_guard(tiny_suite):
 
 
 def test_serve_group_reports_warm_cold_and_coalesced(tiny_suite):
-    from repro.bench.suite import SERVE_WARM_SPEEDUP_MIN, serve_guard
-
     by_name = {r.name: r for r in tiny_suite}
     warm = by_name["serve-warm"]
     # the ratio itself is only *enforced* at guard size (see below); at
     # 300 rows just require the persistent service to actually win
     assert warm.seconds.min < by_name["serve-cold"].seconds.min
-    assert warm.derived["guard_min"] == SERVE_WARM_SPEEDUP_MIN
+    assert warm.derived["guard_min"] == guard_bound("serve-warm", "warm_speedup_vs_cold")
     coal = by_name["serve-coalesced"]
     assert coal.derived["bit_identical"] == 1.0  # asserted before timing
     assert coal.derived["throughput_rps"] > 0.0
     assert 1.0 <= coal.derived["mean_batch_width"] <= coal.params["max_batch"]
-    # 300 rows is below SERVE_GUARD_MIN_ROWS: reported, not enforced —
-    # the same no-flake policy as kernel_guard
-    assert serve_guard(tiny_suite) == []
+    # 300 rows is below GUARD_MIN_ROWS: reported, not enforced — the
+    # same no-flake policy as the spmm-k* rows
+    assert _enforced(tiny_suite, "serve") == []
 
 
 def _serve_result(name, nrows, derived):
@@ -195,43 +200,35 @@ def _serve_result(name, nrows, derived):
 
 
 def test_serve_guard_enforces_at_guard_size():
-    from repro.bench.suite import SERVE_GUARD_MIN_ROWS, serve_guard
-
     ok = [
         _serve_result("serve-warm", 4000,
                       {"warm_speedup_vs_cold": 8.0, "guard_min": 5.0}),
         _serve_result("serve-coalesced", 4000,
                       {"throughput_rps": 100.0, "bit_identical": 1.0}),
     ]
-    assert serve_guard(ok) == ["serve-warm", "serve-coalesced"]
+    assert _enforced(ok) == ["serve-warm", "serve-coalesced"]
     with pytest.raises(AssertionError, match="rebuilding state"):
-        serve_guard([_serve_result("serve-warm", 4000,
-                                   {"warm_speedup_vs_cold": 1.5, "guard_min": 5.0})])
+        check_guards([_serve_result("serve-warm", 4000,
+                                    {"warm_speedup_vs_cold": 1.5, "guard_min": 5.0})])
     with pytest.raises(AssertionError, match="bit-identity"):
-        serve_guard([_serve_result("serve-coalesced", 4000,
-                                   {"throughput_rps": 10.0})])
+        check_guards([_serve_result("serve-coalesced", 4000,
+                                    {"throughput_rps": 10.0})])
     # sub-guard sizes are never enforced
-    tiny = _serve_result("serve-warm", SERVE_GUARD_MIN_ROWS - 1,
+    tiny = _serve_result("serve-warm", GUARD_MIN_ROWS - 1,
                          {"warm_speedup_vs_cold": 0.5, "guard_min": 5.0})
-    assert serve_guard([tiny]) == []
+    assert _enforced([tiny]) == []
 
 
 def test_sanitizer_overhead_reported(tiny_suite):
-    from repro.bench.suite import (
-        SANITIZER_GUARD_MIN_ROWS,
-        SANITIZER_OVERHEAD_MAX,
-        sanitizer_guard,
-    )
-
     (r,) = [r for r in tiny_suite if r.name == "sanitizer-overhead"]
     assert r.group == "check"
-    assert r.derived["guard_max"] == SANITIZER_OVERHEAD_MAX
+    assert r.derived["guard_max"] == guard_bound("sanitizer-overhead", "overhead_vs_plain")
     assert r.derived["events_observed"] > 0
     assert r.derived["plain_seconds"] > 0
-    # 300 rows is below SANITIZER_GUARD_MIN_ROWS: reported, not enforced
+    # 300 rows is below GUARD_MIN_ROWS: reported, not enforced
     # (sub-millisecond sweeps put thread spin-up jitter in the ratio)
-    assert r.params["nrows"] < SANITIZER_GUARD_MIN_ROWS
-    assert sanitizer_guard(tiny_suite) == []
+    assert r.params["nrows"] < GUARD_MIN_ROWS
+    assert _enforced(tiny_suite, "sanitizer") == []
 
 
 def _sanitizer_result(nrows, overhead):
@@ -244,15 +241,13 @@ def _sanitizer_result(nrows, overhead):
 
 
 def test_sanitizer_guard_enforces_at_guard_size():
-    from repro.bench.suite import SANITIZER_GUARD_MIN_ROWS, sanitizer_guard
-
     ok = _sanitizer_result(4000, 1.1)
-    assert sanitizer_guard([ok]) == ["sanitizer-overhead"]
+    assert _enforced([ok]) == ["sanitizer-overhead"]
     with pytest.raises(AssertionError, match="sanitizer-overhead"):
-        sanitizer_guard([_sanitizer_result(4000, 1.5)])
+        check_guards([_sanitizer_result(4000, 1.5)])
     # sub-guard sizes are never enforced
-    tiny = _sanitizer_result(SANITIZER_GUARD_MIN_ROWS - 1, 1.5)
-    assert sanitizer_guard([tiny]) == []
+    tiny = _sanitizer_result(GUARD_MIN_ROWS - 1, 1.5)
+    assert _enforced([tiny]) == []
 
 
 def test_write_results_schema(tiny_suite, tmp_path):
@@ -307,10 +302,8 @@ def _solver_result(nrows, derived):
 
 
 def test_solver_guard_counts_not_times(tiny_suite):
-    from repro.bench.suite import SOLVER_GUARD_MIN_ROWS, solver_guard
-
     # the real tiny suite passes the guard and reports the economics
-    assert solver_guard(tiny_suite) == ["solver-cg-sstep"]
+    assert _enforced(tiny_suite, "solver") == ["solver-cg-sstep"]
     (r,) = [r for r in tiny_suite if r.name == "solver-cg-sstep"]
     assert r.derived["solutions_match"] == 1.0
     assert (r.derived["reductions_per_iteration"]
@@ -318,15 +311,115 @@ def test_solver_guard_counts_not_times(tiny_suite):
 
     # counted violations are enforced at EVERY size
     with pytest.raises(AssertionError, match="stopped fusing"):
-        solver_guard([_solver_result(100, {"reductions_per_iteration": 3.0})])
+        check_guards([_solver_result(100, {"reductions_per_iteration": 3.0})])
     with pytest.raises(AssertionError, match="extra exchanges"):
-        solver_guard([_solver_result(100, {"messages_per_iteration": 20.0})])
+        check_guards([_solver_result(100, {"messages_per_iteration": 20.0})])
     with pytest.raises(AssertionError, match="stopped avoiding"):
-        solver_guard([_solver_result(100, {"comm_posts_per_iteration": 4.0})])
+        check_guards([_solver_result(100, {"comm_posts_per_iteration": 4.0})])
     with pytest.raises(AssertionError, match="without being verified"):
-        solver_guard([_solver_result(100, {"solutions_match": 0.0})])
+        check_guards([_solver_result(100, {"solutions_match": 0.0})])
     # the timing ratio only at guard size and above
     slow = {"time_ratio_vs_classic": 2.0}
-    assert solver_guard([_solver_result(SOLVER_GUARD_MIN_ROWS - 1, slow)])
+    assert _enforced([_solver_result(GUARD_MIN_ROWS - 1, slow)])
     with pytest.raises(AssertionError, match="never lose outright"):
-        solver_guard([_solver_result(SOLVER_GUARD_MIN_ROWS, slow)])
+        check_guards([_solver_result(GUARD_MIN_ROWS, slow)])
+
+
+# --------------------------------------------------------- guard table
+
+
+def _side(row, bound, passing):
+    """A value of *row*'s key just on the passing or the failing side."""
+    eps = 1e-3
+    if passing:
+        return {"<": bound - eps, "<=": bound + row.slack, ">": bound + eps,
+                ">=": bound, "==": bound}[row.op]
+    return {"<": bound, "<=": bound + row.slack + eps, ">": bound,
+            ">=": bound - eps, "==": bound - eps}[row.op]
+
+
+def _passing_derived(result):
+    """Derived figures that pass every GUARDS row of *result*."""
+    derived = {}
+    for g in GUARDS:
+        if g.result == result:
+            bound = g.bound
+            if isinstance(bound, str):
+                bound = derived[g.bound] = 10.0
+            derived[g.key] = _side(g, bound, passing=True)
+    return derived
+
+
+@pytest.mark.parametrize("row", GUARDS, ids=str)
+def test_every_guard_row_is_enforced(row):
+    def result(derived, nrows=max(row.min_rows, 100)):
+        return BenchResult(
+            name=row.result, group="synthetic", warmup=0, repeat=1,
+            seconds=TimingStats(samples=(1.0,)), params={"nrows": nrows},
+            derived=derived,
+        )
+
+    ok = _passing_derived(row.result)
+    assert (row, "enforced") in check_guards([result(ok)])
+    bound = ok[row.bound] if isinstance(row.bound, str) else row.bound
+    bad = {**ok, row.key: _side(row, bound, passing=False)}
+    with pytest.raises(AssertionError, match=re.escape(row.result)) as exc:
+        check_guards([result(bad)])
+    assert row.reason in str(exc.value)
+    # a missing figure fails the row rather than passing it silently
+    missing = {k: v for k, v in ok.items() if k != row.key}
+    with pytest.raises(AssertionError, match=re.escape(row.reason)):
+        check_guards([result(missing)])
+    if row.min_rows:
+        below = check_guards([result(bad, nrows=row.min_rows - 1)])
+        assert (row, "skipped") in below
+
+
+def test_guard_report_names_every_row(tiny_suite):
+    # what `repro bench` prints: one status per table row, in table order
+    report = check_guards(tiny_suite)
+    assert [g for g, _ in report] == list(GUARDS)
+    for g, status in report:
+        if g.result.startswith("workload-"):
+            assert status == "absent"  # full mode only
+        elif g.min_rows:
+            assert status == "skipped"  # 300 rows is below every gate
+            assert f"at >= {GUARD_MIN_ROWS} rows" in str(g)
+        else:
+            assert status == "enforced"
+
+
+def test_sanitizer_overhead_always_measures_task_mode():
+    # the bound is defined on the task-mode sweep, whatever --scheme says
+    results = spmvm_suite(quick=True, nrows=300, nranks=2, scheme="no_overlap")
+    by_name = {r.name: r for r in results}
+    assert by_name["distributed-spmv"].params["scheme"] == "no_overlap"
+    assert by_name["sanitizer-overhead"].params["scheme"] == "task_mode"
+
+
+def test_guard_table_pins_every_bound():
+    # the contracts themselves: a row changed here loosens or tightens a
+    # guard, which the row-by-row test above cannot see
+    assert GUARD_MIN_ROWS == 2000
+    gate = GUARD_MIN_ROWS
+    assert [(g.result, g.key, g.op, g.bound, g.min_rows, g.slack) for g in GUARDS] == [
+        ("spmm-k1", "speedup_vs_spmv", ">=", 1.0, gate, 0.0),
+        ("spmm-k4", "speedup_vs_spmv", ">", 1.0, gate, 0.0),
+        ("spmm-k16", "speedup_vs_spmv", ">", 1.0, gate, 0.0),
+        ("program-overhead", "overhead_vs_hot_path", "<", 0.05, 0, 0.0),
+        ("serve-warm", "warm_speedup_vs_cold", ">=", 5.0, gate, 0.0),
+        ("serve-coalesced", "bit_identical", "==", 1.0, gate, 0.0),
+        ("sanitizer-overhead", "overhead_vs_plain", "<=", 1.2, gate, 0.0),
+        ("solver-cg-sstep", "solutions_match", "==", 1.0, 0, 0.0),
+        ("solver-cg-sstep", "reductions_per_iteration", "<",
+         "classic_reductions_per_iteration", 0, 0.0),
+        ("solver-cg-sstep", "messages_per_iteration", "<=",
+         "classic_messages_per_iteration", 0, 1e-9),
+        ("solver-cg-sstep", "comm_posts_per_iteration", "<",
+         "classic_comm_posts_per_iteration", 0, 0.0),
+        ("solver-cg-sstep", "time_ratio_vs_classic", "<=", 1.25, gate, 0.0),
+        ("workload-scheduling", "util_easy", ">", "util_fcfs", 0, 0.0),
+        ("workload-placement", "wire_bytes_node_aware", "<=", "wire_bytes_random", 0, 0.0),
+        ("workload-placement", "p99_node_aware", "<", "p99_random", 0, 0.0),
+        ("workload-contention", "bw_shared_max", "<", "bw_alone", 0, 0.0),
+    ]
